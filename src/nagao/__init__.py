@@ -34,7 +34,7 @@ from .fiber_trace import (
     fiber_trace,
     points_at_infinity,
 )
-from .prime_field import FieldCtx, eval_poly, make_field, primes_in_range, quadratic_character
+from .prime_field import FieldCtx, make_field, primes_in_range
 from .shioda_tate import form5_diagnostic, ns_rank, rank_S, rank_S_Gk, trace_on_S
 
 __version__ = "0.1.0"

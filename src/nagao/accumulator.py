@@ -92,12 +92,9 @@ def average_trace(spec: FamilySpec, ctx: FieldCtx) -> Fraction:
         u = arrays.unsupported[0]
         raise SkippedPrime(p, f"unsupported fiber at c={u.c}: {u.why}")
     total = int(arrays.a.sum())
-    rule = spec.infinity_rule.kind
     if spec.kind == "constant":
         total += int(arrays.a[0])  # the fiber over infinity is the same curve
-    elif rule == "skip":
-        pass  # omission is reported by the runner; the sum runs over p fibers
-    # trace_zero and affine_plus contribute a = 0 at infinity
+    # trace_zero and affine_plus contribute a = 0 at infinity; skip omits it
     return Fraction(total, p)
 
 

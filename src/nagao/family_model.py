@@ -713,11 +713,8 @@ def bad_primes(spec: FamilySpec) -> frozenset[int]:
         content = _content(lead)
         if content == 0:
             raise ValidationError("zero cover polynomial")
-        if len(lead) == 1:
-            # constant leading coefficient: degree drops exactly at its divisors
-            bad |= _prime_factors(content)
-        else:
-            bad |= _prime_factors(content)
+        # the generic x-degree drops exactly at the divisors of the content
+        bad |= _prime_factors(content)
     for res in singular_locus_polys(spec):
         c = _content(res)
         if c == 0:

@@ -4,8 +4,12 @@ The inner loop of every run is, for each prime p, the p x p grid of
 character values chi(F(x, c)).  The grid is evaluated columnwise in chunks
 with numpy: the t-coefficients of F are specialized to x once per prime,
 powers of c are shared across the chunk, and a single modular reduction is
-applied per chunk when the intermediate bound allows.  Any exact method is
-conforming; this one keeps the per-prime cost at O(p^2) table lookups.
+applied per chunk when the intermediate bound allows.  Every family kind
+goes through this grid.  A cover that does not involve t (the constant
+surface, or one cover of a multicover) has the same values in every column,
+so it costs one column per prime, which numpy broadcasts across the grid.
+Any exact method is conforming; this one keeps the per-prime cost at
+O(p^2) table lookups.
 """
 
 from __future__ import annotations
@@ -41,6 +45,12 @@ def _horner_vec(coeffs, xs: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
+def _chi_at_all_x(coeffs, ctx: FieldCtx) -> np.ndarray:
+    """chi(G(x)) for every x in F_p, G given by ascending coefficients mod p."""
+    vals = _horner_vec(coeffs, np.arange(ctx.p, dtype=np.int64), ctx.p)
+    return ctx.chi_table[vals]
+
+
 @dataclass
 class _CoverPlan:
     """F(x, t) mod p split by t-degree: varying x-columns and constant rows."""
@@ -49,13 +59,11 @@ class _CoverPlan:
     const: list[tuple[int, int]]  # (j, scalar coefficient)
 
 
-def _plan_cover(poly: BivarPoly, p: int) -> _CoverPlan:
+def _plan_cover(t_coeffs: list[tuple[int, ...]], p: int) -> _CoverPlan:
     xs = np.arange(p, dtype=np.int64)
     varying: list[tuple[int, np.ndarray]] = []
     const: list[tuple[int, int]] = []
-    for j, cs in enumerate(poly.t_coeff_polys()):
-        cs = tuple(c % p for c in cs)
-        cs = fp_poly.trim(cs)
+    for j, cs in enumerate(t_coeffs):
         if not cs:
             continue
         if len(cs) == 1:
@@ -65,18 +73,23 @@ def _plan_cover(poly: BivarPoly, p: int) -> _CoverPlan:
     return _CoverPlan(varying, const)
 
 
-def _chi_grid_sums(plans: list[_CoverPlan], ctx: FieldCtx) -> np.ndarray:
+def _chi_grid_sums(polys: tuple[BivarPoly, ...], ctx: FieldCtx) -> np.ndarray:
     """sum_x prod_i (1 + chi(F_i(x, c))) for all finite c: the affine count.
 
     Returns an int64 array of length p.
     """
     p = ctx.p
     chi = ctx.chi_table
-    max_j = max(
-        [j for plan in plans for j, _ in plan.varying]
-        + [j for plan in plans for j, _ in plan.const]
-        + [0]
-    )
+    column = None  # (p, 1) product over the covers without t, if any
+    plans: list[_CoverPlan] = []
+    for poly in polys:
+        t_coeffs = [fp_poly.trim(c % p for c in cs) for cs in poly.t_coeff_polys()]
+        if any(t_coeffs[1:]):
+            plans.append(_plan_cover(t_coeffs, p))
+            continue
+        factor = (1 + _chi_at_all_x(t_coeffs[0], ctx))[:, None]
+        column = factor if column is None else column * factor
+    max_j = max([j for plan in plans for j, _ in plan.varying + plan.const] + [0])
     chunk = max(1, min(p, _CHUNK_ELEMENTS // p))
     out = np.empty(p, dtype=np.int64)
     for lo in range(0, p, chunk):
@@ -84,7 +97,7 @@ def _chi_grid_sums(plans: list[_CoverPlan], ctx: FieldCtx) -> np.ndarray:
         cpow = [np.ones_like(cs)]
         for _ in range(max_j):
             cpow.append((cpow[-1] * cs) % p)
-        prod = None
+        prod = column
         for plan in plans:
             row = np.zeros_like(cs)
             for j, coeff in plan.const:
@@ -108,14 +121,14 @@ def _chi_grid_sums(plans: list[_CoverPlan], ctx: FieldCtx) -> np.ndarray:
             vals = chi[grid]
             one_plus = (1 + vals).astype(np.int8)
             prod = one_plus if prod is None else prod * one_plus
+        # with no t-dependent cover prod is one column, the same for every c
         out[lo : lo + cs.size] = prod.sum(axis=0, dtype=np.int64)
     return out
 
 
 def affine_counts(spec: FamilySpec, ctx: FieldCtx) -> np.ndarray:
     """N_affine[c] for every finite c, as an int64 array of length p."""
-    plans = [_plan_cover(poly, ctx.p) for poly in spec.polys]
-    return _chi_grid_sums(plans, ctx)
+    return _chi_grid_sums(spec.polys, ctx)
 
 
 def singular_c_values(spec: FamilySpec, ctx: FieldCtx) -> np.ndarray:
@@ -161,23 +174,6 @@ def fiber_arrays(spec: FamilySpec, ctx: FieldCtx) -> FiberArrays:
     if p in bad_primes(spec):
         raise BadPrime(f"p = {p} lies in the bad set of {spec.name}")
 
-    if spec.kind == "constant":
-        # every fiber is the same curve; compute one and replicate
-        from .fiber_trace import UnsupportedFiber, fiber_trace
-
-        try:
-            rec = fiber_trace(ctx, spec, 0)
-        except UnsupportedFiber as exc:
-            return FiberArrays(
-                p,
-                np.zeros(p, dtype=np.int64),
-                np.ones(p, dtype=bool),
-                [Unsupported(exc.p, exc.c, exc.why)],
-            )
-        a = np.full(p, rec.a, dtype=np.int64)
-        singular = np.full(p, rec.singular, dtype=bool)
-        return FiberArrays(p, a, singular, [])
-
     n_aff = affine_counts(spec, ctx)
     sing_idx = singular_c_values(spec, ctx)
     singular = np.zeros(p, dtype=bool)
@@ -197,8 +193,7 @@ def fiber_arrays(spec: FamilySpec, ctx: FieldCtx) -> FiberArrays:
         inf = np.ones(p, dtype=np.int64)
     else:
         lead = fp_poly.trim(c % p for c in poly.leading_x_coeff())
-        lead_vals = _horner_vec(lead, np.arange(p, dtype=np.int64), p)
-        inf = 1 + ctx.chi_table[lead_vals].astype(np.int64)
+        inf = 1 + _chi_at_all_x(lead, ctx).astype(np.int64)
     a = (p + 1) - (n_aff + inf)
 
     for c in sing_idx:
@@ -219,8 +214,7 @@ def univariate_curve_trace(ctx: FieldCtx, coeffs: tuple[int, ...]) -> int:
     red = fp_poly.trim(c % p for c in coeffs)
     if len(red) - 1 < len(coeffs) - 1:
         raise ValueError("leading coefficient vanished mod p")
-    vals = _horner_vec(red, np.arange(p, dtype=np.int64), p)
-    n_aff = p + int(ctx.chi_table[vals].sum(dtype=np.int64))
+    n_aff = p + int(_chi_at_all_x(red, ctx).sum(dtype=np.int64))
     d = len(red) - 1
     n_inf = 1 if d % 2 == 1 else 1 + ctx.chi(red[-1])
     return p + 1 - (n_aff + n_inf)

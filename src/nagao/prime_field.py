@@ -81,11 +81,6 @@ def make_field(p: int) -> FieldCtx:
     return FieldCtx(p=p, chi_table=table)
 
 
-def quadratic_character(ctx: FieldCtx, a: int) -> int:
-    """chi(a) in {-1, 0, +1}; constant-time table lookup."""
-    return ctx.chi(a)
-
-
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """All primes in [lo, hi], ascending, via a segmented sieve."""
     if lo > hi:
@@ -110,18 +105,4 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
         if start > hi:
             continue
         seg[start - lo :: q] = False
-    if lo <= 1:
-        seg[: 2 - lo] = False
-    out = (np.flatnonzero(seg) + lo).tolist()
-    # A base prime can land inside the segment when lo <= sqrt(hi).
-    return [int(q) for q in out]
-
-
-def eval_poly(ctx: FieldCtx, coeffs: list[int] | tuple[int, ...], x: int) -> int:
-    """Horner evaluation mod p of a polynomial given by ascending coefficients."""
-    if not 0 <= x < ctx.p:
-        raise OutOfRange(f"residue {x} not in [0, {ctx.p})")
-    acc = 0
-    for a in reversed(coeffs):
-        acc = (acc * x + a) % ctx.p
-    return acc
+    return (np.flatnonzero(seg) + lo).tolist()

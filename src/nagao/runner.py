@@ -27,12 +27,8 @@ from .accumulator import (
     iter_entries,
 )
 from .family_model import FamilySpec, bad_primes, discriminant_locus, fiber_at
-from .fiber_trace import (
-    UnsupportedFiber,
-    count_affine,
-    fiber_trace,
-    weil_bound,
-)
+from .fiber_trace import UnsupportedFiber, fiber_trace, weil_bound
+from .kernels import affine_counts, singular_c_values
 from .prime_field import make_field, primes_in_range
 from .shioda_tate import form5_diagnostic
 
@@ -42,7 +38,7 @@ RESIDUE_FIELDS = ["s", "estimate", "T"]
 
 
 class LedgerMismatch(Exception):
-    """Existing ledger was produced by a different family."""
+    """Existing ledger cannot be resumed: another family's, or a malformed row."""
 
 
 @dataclass
@@ -112,15 +108,40 @@ def row_entry(row: dict[str, str]) -> SeriesEntry:
     return SeriesEntry(p, a_p, a_b, a_p - a_b)
 
 
+def _drop_torn_row(path: Path) -> None:
+    """Cut a final row left without its newline by a crash mid-write."""
+    with path.open("r+b") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size == 0:
+            return
+        fh.seek(size - 1)
+        if fh.read(1) == b"\n":
+            return
+        fh.seek(0)
+        fh.truncate(fh.read().rfind(b"\n") + 1)
+
+
 def load_ledger(path: Path) -> tuple[str | None, list[SeriesEntry]]:
+    """Family hash and entries of an existing ledger; (None, []) if absent.
+
+    A torn final row is dropped from the file, so a resume recomputes that
+    prime.  Any other malformed row raises LedgerMismatch.
+    """
     if not path.exists():
         return None, []
+    _drop_torn_row(path)
     entries = []
     fam_hash = None
     with path.open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            fam_hash = row["family_hash"]
-            entries.append(row_entry(row))
+        try:
+            for row in csv.DictReader(fh):
+                fam_hash = row["family_hash"]
+                entries.append(row_entry(row))
+        except (csv.Error, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise LedgerMismatch(
+                f"ledger at {path}: row {len(entries) + 1} is malformed "
+                f"({type(exc).__name__}: {exc}); it cannot be resumed"
+            ) from exc
     return fam_hash, entries
 
 
@@ -258,17 +279,16 @@ def verify_family(spec: FamilySpec, p_max: int = 23) -> list[VerifyCheck]:
     detail = ""
     for p in primes:
         ctx = make_field(p)
+        counts = affine_counts(spec, ctx)
         for c in range(p):
-            fiber = fiber_at(spec, ctx, c)
-            got = count_affine(ctx, fiber)
-            want = brute_force_affine(p, fiber.polys)
-            if got != want:
+            want = brute_force_affine(p, fiber_at(spec, ctx, c).polys)
+            if counts[c] != want:
                 ok = False
-                detail = f"p={p}, c={c}: kernel {got} != enumeration {want}"
+                detail = f"p={p}, c={c}: kernel {counts[c]} != enumeration {want}"
                 break
         if not ok:
             break
-    checks.append(VerifyCheck(f"count_affine: exhaustive match (p <= {p_max})", ok, detail))
+    checks.append(VerifyCheck(f"affine_counts: exhaustive match (p <= {p_max})", ok, detail))
 
     ok = True
     detail = ""
@@ -299,8 +319,6 @@ def verify_family(spec: FamilySpec, p_max: int = 23) -> list[VerifyCheck]:
     detail = ""
     for p in primes:
         ctx = make_field(p)
-        from .kernels import singular_c_values
-
         via_resultant = set(int(c) for c in singular_c_values(spec, ctx))
         via_gcd = discriminant_locus(spec, ctx)
         if via_resultant != via_gcd:

@@ -125,6 +125,20 @@ def test_resume_against_foreign_ledger_exits_2(tmp_path, family_file, capsys):
     assert "hash" in capsys.readouterr().err
 
 
+def test_resume_with_corrupt_middle_row_exits_2(tmp_path, family_file, capsys):
+    out = tmp_path / "out"
+    fam = family_file("shioda_g1")
+    assert main(["run", "--family", fam, "--tmax", "50", "--out", str(out)]) == 0
+    ledger = out / "ledger.csv"
+    lines = ledger.read_bytes().splitlines(keepends=True)
+    lines[5] = b"garbage,row\r\n"
+    ledger.write_bytes(b"".join(lines))
+    rc = main(["run", "--family", fam, "--tmax", "50", "--out", str(out), "--resume"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "row 5" in err and "Traceback" not in err
+
+
 def test_resume_series_bitwise_identical(tmp_path, family_file):
     fam = family_file("shioda_g1")
     cps = "50,150,300"

@@ -123,3 +123,13 @@ def test_odd_multiplicity_part_large_degree_fallback():
 def test_eval_at():
     assert fp_poly.eval_at((0, 4, 0, 1), 2, 5) == 1  # x^3 - x at 2 mod 5
     assert fp_poly.eval_at((), 3, 5) == 0
+
+
+@settings(max_examples=50)
+@given(
+    coeffs=st.lists(st.integers(-50, 50), max_size=6),
+    x=st.integers(0, 12),
+)
+def test_eval_at_matches_naive(coeffs, x):
+    naive = sum(c * x**i for i, c in enumerate(coeffs)) % 13
+    assert fp_poly.eval_at(tuple(coeffs), x, 13) == naive

@@ -1,9 +1,11 @@
 """Vectorized per-prime kernels against the scalar per-fiber path."""
 
+import random
+
 import numpy as np
 import pytest
 
-from nagao import load_shipped_family
+from nagao import load_shipped_family, parse_family
 from nagao.family_model import bad_primes, discriminant_locus, fiber_at
 from nagao.fiber_trace import UnsupportedFiber, count_affine, fiber_trace
 from nagao.kernels import (
@@ -16,21 +18,41 @@ from nagao.prime_field import make_field
 
 FAMILY_NAMES = ["constant_E", "shioda_g1", "shioda_g2", "multicover_ex2"]
 
+# multicover_ex2 with the t-free cover second in the product
+SWAPPED_MULTICOVER = """\
+family "multicover_ex2_swapped"
+kind multicover
+poly x*(x-1)*(x-t)
+poly (x-2)*(x-3)*(x-5)
+genus 4
+trace curve (x-2)*(x-3)*(x-5)
+infinity affine_plus 2 1
+"""
+
 
 def good_small_primes(spec, hi=23):
     bad = bad_primes(spec)
     return [p for p in (3, 5, 7, 11, 13, 17, 19, 23) if p <= hi and p not in bad]
 
 
-@pytest.mark.parametrize("name", FAMILY_NAMES)
+@pytest.mark.parametrize("name", FAMILY_NAMES + ["multicover_ex2_swapped"])
 def test_affine_counts_match_scalar_path(name):
-    spec = load_shipped_family(name)
+    if name == "multicover_ex2_swapped":
+        spec = parse_family(SWAPPED_MULTICOVER)
+    else:
+        spec = load_shipped_family(name)
     for p in good_small_primes(spec):
         ctx = make_field(p)
         counts = affine_counts(spec, ctx)
         assert counts.shape == (p,) and counts.dtype == np.int64
         for c in range(p):
             assert counts[c] == count_affine(ctx, fiber_at(spec, ctx, c))
+    # p = 4001 spans five chunks of the grid; check a seeded sample of c
+    p = 4001
+    ctx = make_field(p)
+    counts = affine_counts(spec, ctx)
+    for c in [0, p - 1] + random.Random(p).sample(range(p), 10):
+        assert counts[c] == count_affine(ctx, fiber_at(spec, ctx, c))
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)

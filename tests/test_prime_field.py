@@ -1,4 +1,4 @@
-"""Field context, character table, prime enumeration, Horner evaluation."""
+"""Field context, character table, prime enumeration."""
 
 import numpy as np
 import pytest
@@ -11,11 +11,9 @@ from nagao.prime_field import (
     FieldCtx,
     NotPrime,
     OutOfRange,
-    eval_poly,
     is_prime,
     make_field,
     primes_in_range,
-    quadratic_character,
 )
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23]
@@ -73,7 +71,7 @@ def test_chi_vs_euler_criterion(p):
     ctx = make_field(p)
     for a in range(p):
         want = 0 if a == 0 else (1 if pow(a, (p - 1) // 2, p) == 1 else -1)
-        assert quadratic_character(ctx, a) == want
+        assert ctx.chi(a) == want
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)
@@ -110,31 +108,6 @@ def test_primes_in_range_rejects_bad_ranges():
 def test_primes_in_range_matches_trial_division(lo, width):
     hi = lo + width
     assert primes_in_range(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
-
-
-def test_eval_poly_examples():
-    ctx = make_field(5)
-    # x^3 - x at x = 2: 8 - 2 = 6 = 1 mod 5
-    assert eval_poly(ctx, (0, -1, 0, 1), 2) == 1
-    assert eval_poly(ctx, (), 3) == 0
-    assert eval_poly(ctx, (4,), 0) == 4
-
-
-def test_eval_poly_range_check():
-    ctx = make_field(5)
-    with pytest.raises(OutOfRange):
-        eval_poly(ctx, (1,), 5)
-
-
-@settings(max_examples=50)
-@given(
-    coeffs=st.lists(st.integers(-50, 50), max_size=6),
-    x=st.integers(0, 12),
-)
-def test_eval_poly_matches_naive(coeffs, x):
-    ctx = make_field(13)
-    naive = sum(c * x**i for i, c in enumerate(coeffs)) % 13
-    assert eval_poly(ctx, coeffs, x) == naive
 
 
 def test_field_ctx_is_frozen():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nagao import load_shipped_family
+from nagao import load_shipped_family, runner
 from nagao.accumulator import SeriesEntry, family_hash
 from nagao.runner import (
     LedgerMismatch,
@@ -95,6 +95,21 @@ def test_run_pipeline_resume_extends_and_matches_fresh(tmp_path):
     assert residue_csv_text(resumed, [1.25], 120) == residue_csv_text(fresh, [1.25], 120)
 
 
+def test_resume_after_torn_last_row_matches_fresh(tmp_path):
+    spec = load_shipped_family("shioda_g1")
+    fresh = run_pipeline(spec, RunConfig("shioda_g1", 60, str(tmp_path / "fresh")))
+    ledger = (tmp_path / "fresh" / "ledger.csv").read_bytes()
+    cps = default_checkpoints(60)
+    last_row = ledger.rstrip(b"\r\n").rfind(b"\n") + 1
+    for cut in range(last_row, len(ledger)):
+        out = tmp_path / f"cut{cut}"
+        out.mkdir()
+        (out / "ledger.csv").write_bytes(ledger[:cut])
+        resumed = run_pipeline(spec, RunConfig("shioda_g1", 60, str(out), resume=True))
+        assert (out / "ledger.csv").read_bytes() == ledger, f"cut at byte {cut}"
+        assert series_csv_text(resumed, cps) == series_csv_text(fresh, cps)
+
+
 def test_run_pipeline_rejects_foreign_ledger(tmp_path):
     run_pipeline(load_shipped_family("shioda_g1"), make_config(tmp_path, "a"))
     with pytest.raises(LedgerMismatch):
@@ -129,3 +144,11 @@ def test_verify_family_all_checks_pass(name):
     assert len(checks) == 3
     for check in checks:
         assert check.passed, f"{name}: {check.name}: {check.detail}"
+
+
+def test_verify_family_checks_the_run_kernel(monkeypatch):
+    kernel = runner.affine_counts
+    monkeypatch.setattr(runner, "affine_counts", lambda spec, ctx: kernel(spec, ctx) + 1)
+    checks = verify_family(load_shipped_family("shioda_g1"), p_max=7)
+    assert checks[0].name.startswith("affine_counts")
+    assert not checks[0].passed
