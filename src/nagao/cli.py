@@ -12,6 +12,7 @@ from .family_model import ParseError, ValidationError, parse_family
 from .runner import (
     LedgerMismatch,
     RunConfig,
+    RunResult,
     atomic_write,
     default_checkpoints,
     residue_csv_text,
@@ -61,11 +62,40 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _write_outputs(command: str, config: RunConfig, result: RunResult) -> None:
+    """series.csv, summary.json and residue.csv, as the command asks."""
+    if command in ("run", "series"):
+        atomic_write(result.out_dir / "series.csv", series_csv_text(result, config.checkpoints))
+    if command == "run":
+        summary = summary_dict(result, config.checkpoints)
+        atomic_write(
+            result.out_dir / "summary.json", json.dumps(summary, indent=2) + "\n"
+        )
+        print(
+            f"{result.spec.name}: S(T={summary['T']}) = {summary['S_T']:.4f}, "
+            f"nearest integer {summary['nearest_integer']}, "
+            f"{summary['n_primes']} primes, {summary['n_skipped']} skipped"
+        )
+        for item in summary["skipped"]:
+            print(f"  skipped p={item['p']}: {item['reason']}")
+        if "form5_diagnostic" in summary:
+            d = summary["form5_diagnostic"]
+            print(
+                f"  trace-residual diagnostic: mean |r| = {d['mean_abs_residual']:.3f}, "
+                f"max |r| = {d['max_abs_residual']:.3f}"
+            )
+    if command == "residue":
+        atomic_write(
+            result.out_dir / "residue.csv",
+            residue_csv_text(result, config.s_list, config.t_max),
+        )
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec = parse_family(Path(args.family).read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read family file: {exc}", file=sys.stderr)
         return 1
     except (ParseError, ValidationError) as exc:
@@ -110,35 +140,13 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         result = run_pipeline(spec, config)
+        _write_outputs(args.command, config, result)
     except LedgerMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.command in ("run", "series"):
-        atomic_write(result.out_dir / "series.csv", series_csv_text(result, checkpoints))
-    if args.command == "run":
-        summary = summary_dict(result, checkpoints)
-        atomic_write(
-            result.out_dir / "summary.json", json.dumps(summary, indent=2) + "\n"
-        )
-        print(
-            f"{spec.name}: S(T={summary['T']}) = {summary['S_T']:.4f}, "
-            f"nearest integer {summary['nearest_integer']}, "
-            f"{summary['n_primes']} primes, {summary['n_skipped']} skipped"
-        )
-        for item in summary["skipped"]:
-            print(f"  skipped p={item['p']}: {item['reason']}")
-        if "form5_diagnostic" in summary:
-            d = summary["form5_diagnostic"]
-            print(
-                f"  trace-residual diagnostic: mean |r| = {d['mean_abs_residual']:.3f}, "
-                f"max |r| = {d['max_abs_residual']:.3f}"
-            )
-    if args.command == "residue":
-        atomic_write(
-            result.out_dir / "residue.csv",
-            residue_csv_text(result, s_list, config.t_max),
-        )
+    except OSError as exc:
+        print(f"error: cannot write to {config.out_dir}: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -14,8 +14,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .prime_field import FieldCtx, is_prime, primes_in_range
 
 
@@ -139,9 +137,6 @@ class BivarPoly:
         for i, j, c in self.terms:
             by_j.setdefault(j, {})[i] = c
         return [_dense(by_j.get(j, {})) for j in range(self.deg_t + 1)]
-
-    def to_sympy(self, x: sympy.Symbol, t: sympy.Symbol):
-        return sympy.Add(*[c * x**i * t**j for i, j, c in self.terms])
 
     def render(self) -> str:
         """Pretty-print in the grammar accepted by parse_poly."""
@@ -394,23 +389,8 @@ class FiberModel:
 
 
 # ---------------------------------------------------------------------------
-# Validation helpers (sympy only at family-load time)
+# Validation: generic squarefreeness is read off the singular-locus resultants
 # ---------------------------------------------------------------------------
-
-_x, _t = sympy.symbols("x t")
-
-
-def _check_squarefree_generic(poly: BivarPoly, where: str) -> None:
-    f = sympy.Poly(poly.to_sympy(_x, _t), _x, _t)
-    g = sympy.gcd(f, f.diff(_x))
-    if sympy.Poly(g, _x, _t).degree(_x) > 0:
-        raise ValidationError(f"{where}: generic fiber polynomial is not squarefree in x over Q(t)")
-
-
-def _check_univar_squarefree(coeffs: tuple[int, ...], where: str) -> None:
-    f = sympy.Poly(list(reversed(coeffs)), _x)
-    if sympy.degree(sympy.gcd(f, f.diff(_x)), _x) > 0:
-        raise ValidationError(f"{where}: trace curve polynomial is not squarefree over Q")
 
 
 def validate_family(spec: FamilySpec) -> FamilySpec:
@@ -428,12 +408,17 @@ def validate_family(spec: FamilySpec) -> FamilySpec:
         for poly in spec.polys:
             if poly.deg_t > 0:
                 raise ValidationError("constant family must not involve t")
-    for poly in spec.polys:
+    # over Q(t), with lc_x != 0, F is squarefree in x iff Res_x(F, F_x) != 0,
+    # and F1*F2 is iff both are and Res_x(F1, F2) != 0
+    not_squarefree = f"{spec.name}: generic fiber polynomial is not squarefree in x over Q(t)"
+    loci = singular_locus_polys(spec)
+    for i, poly in enumerate(spec.polys):
         if poly.deg_x < 1:
             raise ValidationError("each cover must have positive x-degree")
-        _check_squarefree_generic(poly, spec.name)
-    if spec.kind == "multicover":
-        _check_squarefree_generic(spec.polys[0] * spec.polys[1], spec.name)
+        if not loci[2 * i]:
+            raise ValidationError(not_squarefree)
+    if spec.kind == "multicover" and not loci[4]:
+        raise ValidationError(not_squarefree)
     if spec.kind in ("hyperelliptic", "constant"):
         d = spec.polys[0].deg_x
         if d not in (2 * spec.genus + 1, 2 * spec.genus + 2):
@@ -441,8 +426,9 @@ def validate_family(spec: FamilySpec) -> FamilySpec:
                 f"genus {spec.genus} inconsistent with x-degree {d} "
                 f"(expected {2 * spec.genus + 1} or {2 * spec.genus + 2})"
             )
-    for curve in spec.trace.curves:
-        _check_univar_squarefree(curve, spec.name)
+    for curve, disc in zip(spec.trace.curves, trace_curve_discriminants(spec)):
+        if len(curve) > 1 and not disc:
+            raise ValidationError(f"{spec.name}: trace curve polynomial is not squarefree over Q")
     if spec.infinity_rule.kind not in ("trace_zero", "affine_plus", "skip"):
         raise ValidationError(f"unknown infinity rule {spec.infinity_rule.kind!r}")
     if spec.kind == "multicover" and spec.infinity_rule.kind != "affine_plus":
@@ -647,6 +633,72 @@ def _render_m_rule(rule: MRule) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _bareiss_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def _interpolate(xs: list[int], ys: list[int]) -> tuple[int, ...]:
+    """Ascending coefficients of the integer polynomial through (xs, ys)."""
+    coef = [Fraction(y) for y in ys]
+    for k in range(1, len(xs)):  # Newton divided differences
+        for i in range(len(xs) - 1, k - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - k])
+    poly: list[Fraction] = []
+    for x0, c in zip(reversed(xs), reversed(coef)):  # Horner in the Newton basis
+        poly = [Fraction(0)] + poly
+        for k in range(len(poly) - 1):
+            poly[k] -= x0 * poly[k + 1]
+        poly[0] += c
+    assert all(c.denominator == 1 for c in poly)
+    return _dense({k: int(c) for k, c in enumerate(poly)})
+
+
+def resultant_x(f: BivarPoly, g: BivarPoly) -> tuple[int, ...]:
+    """Res_x(f, g) in Z[t], ascending in t; () when it vanishes identically.
+
+    The Sylvester determinant at the x-degrees n, m of f and g over Z[t],
+    lc(f)^m lc(g)^n prod (a_i - b_j) over their roots; 0 when either is zero,
+    1 when both are constants.  The polynomial of larger x-degree takes the
+    first rows, so for n < m this is Res_x(g, f) = (-1)^(nm) Res_x(f, g); the
+    sign does not move a root.  The t-degree is at most m deg_t f + n deg_t g,
+    so the determinant is taken exactly at that many plus one integer points
+    t and interpolated back.
+    """
+    if f.deg_x < g.deg_x:
+        f, g = g, f
+    n, m = f.deg_x, g.deg_x
+    if m < 0:
+        return ()
+    xs = list(range(m * f.deg_t + n * g.deg_t + 1))
+    ys = []
+    for t0 in xs:
+        fc, gc = [0] * (n + 1), [0] * (m + 1)
+        for poly, cs in ((f, fc), (g, gc)):
+            for i, j, c in poly.terms:
+                cs[i] += c * t0**j
+        fc.reverse()  # Sylvester rows run from the leading coefficient down
+        gc.reverse()
+        rows = [[0] * k + fc + [0] * (m - 1 - k) for k in range(m)]
+        rows += [[0] * k + gc + [0] * (n - 1 - k) for k in range(n)]
+        ys.append(_bareiss_det(rows))
+    return _interpolate(xs, ys)
+
+
 @functools.lru_cache(maxsize=64)
 def singular_locus_polys(spec: FamilySpec) -> tuple[tuple[int, ...], ...]:
     """Integer polynomials in t whose roots mod p cut out the singular fibers.
@@ -656,24 +708,12 @@ def singular_locus_polys(spec: FamilySpec) -> tuple[tuple[int, ...], ...]:
     cover polynomials is a singular point of the fiber.
     """
     out: list[tuple[int, ...]] = []
-    sym = [sympy.Poly(p.to_sympy(_x, _t), _x) for p in spec.polys]
-    for i, poly in enumerate(spec.polys):
-        res = sympy.resultant(sym[i], sym[i].diff(_x), _x)
-        out.append(_poly_in_t(res))
+    for poly in spec.polys:
+        out.append(resultant_x(poly, poly.dx()))
         out.append(poly.leading_x_coeff())
     if len(spec.polys) == 2:
-        res = sympy.resultant(sym[0], sym[1], _x)
-        out.append(_poly_in_t(res))
+        out.append(resultant_x(*spec.polys))
     return tuple(out)
-
-
-def _poly_in_t(expr) -> tuple[int, ...]:
-    poly = sympy.Poly(expr, _t)
-    coeffs = [int(c) for c in poly.all_coeffs()]
-    coeffs.reverse()
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
 
 
 def _content(coeffs: tuple[int, ...]) -> int:
@@ -721,24 +761,6 @@ def bad_primes(spec: FamilySpec) -> frozenset[int]:
             continue  # identically zero resultant is caught by validation
         bad |= _prime_factors(c)
     return frozenset(bad)
-
-
-def generic_fiber_squarefree_mod_p(spec: FamilySpec, p: int) -> bool:
-    """Direct gcd-based check that every cover (and, for multicovers, the
-    product) keeps full x-degree and stays squarefree in x over F_p(t);
-    definition-level test oracle for bad_primes."""
-    polys = list(spec.polys)
-    if len(polys) == 2:
-        polys.append(polys[0] * polys[1])
-    for poly in polys:
-        lead = poly.leading_x_coeff()
-        if all(c % p == 0 for c in lead):
-            return False
-        f = sympy.Poly(poly.to_sympy(_x, _t), _x, _t, modulus=p)
-        g = sympy.gcd(f, f.diff(_x))
-        if sympy.Poly(g, _x, _t, modulus=p).degree(_x) > 0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +821,7 @@ def trace_curve_discriminants(spec: FamilySpec) -> tuple[int, ...]:
     """|Res(G_i, G_i')| per trace curve; primes dividing one are skipped."""
     out = []
     for curve in spec.trace.curves:
-        f = sympy.Poly(list(reversed(curve)), _x)
-        out.append(abs(int(sympy.resultant(f, f.diff(_x), _x))))
+        g = BivarPoly.from_dict({(i, 0): c for i, c in enumerate(curve)})
+        res = resultant_x(g, g.dx())
+        out.append(abs(res[0]) if res else 0)
     return tuple(out)

@@ -74,56 +74,40 @@ def eval_at(f: tuple[int, ...], x: int, p: int) -> int:
 
 
 def squarefree_decomposition(f: tuple[int, ...], p: int):
-    """Yun's algorithm: return [(q_1, 1), (q_2, 2), ...] with f = lc * prod q_e^e,
-    each q_e monic squarefree, pairwise coprime.  Valid for deg f < p."""
+    """Squarefree decomposition over F_p, valid for every degree.
+
+    Returns [(q_e, e), ...] in ascending e with f = lc * prod q_e^e, where q_e
+    is the monic product of the irreducible factors of multiplicity exactly e.
+    Yun's loop splits off the multiplicities prime to p.  What it leaves is a
+    p-th power, whose p-th root is read off the coefficients at multiples of
+    p and split the same way, with its multiplicities scaled by p.
+    """
     f = trim(f)
     if deg(f) < 1:
         return []
-    if deg(f) >= p:
-        raise ValueError("squarefree decomposition requires deg f < p")
-    fm = monic(f, p)
     out = []
-    df = deriv(fm, p)
-    a = gcd(fm, df, p)
-    b, _ = divmod_(fm, a, p)
-    c, _ = divmod_(df, a, p)
-    d = trim((ci - bi) % p for ci, bi in _zip_pad(c, deriv(b, p), p))
-    e = 1
-    while deg(b) > 0:
-        q = gcd(b, d, p)
-        if deg(q) > 0:
-            out.append((q, e))
-        b, _ = divmod_(b, q, p)
-        c, _ = divmod_(d, q, p)
-        d = trim((ci - bi) % p for ci, bi in _zip_pad(c, deriv(b, p), p))
-        e += 1
-    return out
-
-
-def _zip_pad(a: tuple[int, ...], b: tuple[int, ...], p: int):
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    return zip(a, b)
+    f, scale = monic(f, p), 1
+    while deg(f) > 0:
+        c = gcd(f, deriv(f, p), p)
+        w, _ = divmod_(f, c, p)
+        e = 1
+        while deg(w) > 0:
+            y = gcd(w, c, p)
+            q, _ = divmod_(w, y, p)
+            if deg(q) > 0:
+                out.append((q, e * scale))
+            c, _ = divmod_(c, y, p)
+            w = y
+            e += 1
+        f, scale = c[::p], scale * p
+    return sorted(out, key=lambda part: part[1])
 
 
 def odd_multiplicity_part(f: tuple[int, ...], p: int) -> tuple[int, ...]:
     """Monic product of the irreducible factors of f with odd multiplicity;
     (1,) when f is a constant times a perfect square."""
-    if deg(trim(f)) < p:
-        parts = squarefree_decomposition(f, p)
-    else:
-        # Yun needs p > deg f; fall back to full factorization over GF(p)
-        import sympy
-
-        x = sympy.Symbol("x")
-        poly = sympy.Poly(list(reversed(f)), x, modulus=p)
-        parts = []
-        for factor, e in poly.factor_list()[1]:
-            cs = tuple(int(c) % p for c in reversed(factor.all_coeffs()))
-            parts.append((monic(cs, p), e))
     out = (1,)
-    for q, e in parts:
+    for q, e in squarefree_decomposition(f, p):
         if e % 2 == 1:
             out = mul(out, q, p)
     return out

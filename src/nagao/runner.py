@@ -28,7 +28,7 @@ from .accumulator import (
 )
 from .family_model import FamilySpec, bad_primes, discriminant_locus, fiber_at
 from .fiber_trace import UnsupportedFiber, fiber_trace, weil_bound
-from .kernels import affine_counts, singular_c_values
+from .kernels import affine_counts, fiber_arrays, singular_c_values
 from .prime_field import make_field, primes_in_range
 from .shioda_tate import form5_diagnostic
 
@@ -294,25 +294,26 @@ def verify_family(spec: FamilySpec, p_max: int = 23) -> list[VerifyCheck]:
     detail = ""
     for p in primes:
         ctx = make_field(p)
-        for c in list(range(p)) + [None]:
+        arrays = fiber_arrays(spec, ctx)
+        refused = {u.c for u in arrays.unsupported}
+        for c in range(p):
             try:
-                rec = fiber_trace(ctx, spec, c)
+                want = fiber_trace(ctx, spec, c).a
             except UnsupportedFiber:
-                continue
-            if rec is None:
-                continue
-            if rec.N != 1 - rec.a + p * rec.m:
+                want = "unsupported"
+            got = "unsupported" if c in refused else int(arrays.a[c])
+            if got != want:
                 ok = False
-                detail = f"p={p}, c={c}: N = {rec.N} but 1 - a + p m = {1 - rec.a + p * rec.m}"
+                detail = f"p={p}, c={c}: fiber_arrays {got} != fiber_trace {want}"
                 break
-            if not rec.singular and abs(rec.a) > weil_bound(spec.genus, p):
+            if not arrays.singular[c] and abs(got) > weil_bound(spec.genus, p):
                 ok = False
-                detail = f"p={p}, c={c}: |a| = {abs(rec.a)} exceeds 2g sqrt(p)"
+                detail = f"p={p}, c={c}: |a| = {abs(got)} exceeds 2g sqrt(p)"
                 break
         if not ok:
             break
     checks.append(
-        VerifyCheck(f"trace identity and Weil bound (p <= {p_max})", ok, detail)
+        VerifyCheck(f"fiber_arrays: match fiber_trace, Weil bound (p <= {p_max})", ok, detail)
     )
 
     ok = True

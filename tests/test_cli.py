@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from importlib import resources
 from pathlib import Path
 
@@ -85,6 +89,27 @@ def test_missing_family_file_exits_1(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_non_utf8_family_file_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.fam"
+    bad.write_bytes(b"\xff\xfef\x00a\x00m\x00")
+    rc = main(["run", "--family", str(bad), "--tmax", "50", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: cannot read family file" in err and "Traceback" not in err
+
+
+def test_unwritable_out_dir_exits_1(tmp_path, family_file, capsys):
+    blocker = tmp_path / "plain_file"
+    blocker.write_text("")
+    rc = main([
+        "run", "--family", family_file("shioda_g1"),
+        "--tmax", "50", "--out", str(blocker / "out"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: cannot write to" in err and "Traceback" not in err
+
+
 def test_malformed_family_file_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.fam"
     bad.write_text('family "x"\nkind hyperelliptic\npoly x^^2\n')
@@ -159,3 +184,24 @@ def test_resume_series_bitwise_identical(tmp_path, family_file):
     ]) == 0
 
     assert (resumed / "series.csv").read_bytes() == (fresh / "series.csv").read_bytes()
+
+
+def test_commands_do_not_import_sympy(tmp_path):
+    """sympy is a test dependency only: run and verify must never load it."""
+    code = textwrap.dedent("""
+        import sys
+        from importlib import resources
+        import nagao
+        from nagao.cli import main
+        for name in nagao.shipped_family_names():
+            fam = str(resources.files(nagao).joinpath(f"families/{name}.fam"))
+            assert main(["run", "--family", fam, "--tmax", "50", "--out", name]) == 0
+        assert main(["verify", "--family", fam]) == 0
+        assert "sympy" not in sys.modules, "sympy was imported"
+    """)
+    src = str(Path(nagao.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

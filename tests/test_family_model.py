@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,11 +20,11 @@ from nagao.family_model import (
     bad_primes,
     discriminant_locus,
     fiber_at,
-    generic_fiber_squarefree_mod_p,
     parse_family,
     parse_m_rule,
     parse_poly,
     render_family,
+    resultant_x,
     singular_locus_polys,
     trace_curve_discriminants,
     validate_family,
@@ -31,6 +32,48 @@ from nagao.family_model import (
 from nagao.prime_field import make_field
 
 FAMILY_NAMES = ["constant_E", "shioda_g1", "shioda_g2", "multicover_ex2"]
+
+CUBIC_T = """\
+family "cubic_t"
+kind hyperelliptic
+poly x^3 - x + t^3
+genus 1
+trace none
+infinity trace_zero
+"""
+
+_x, _t = sympy.symbols("x t")
+
+
+def _sympy_poly(poly: BivarPoly, *gens, **kw) -> sympy.Poly:
+    expr = sympy.Add(*[c * _x**i * _t**j for i, j, c in poly.terms])
+    return sympy.Poly(expr, *gens, **kw)
+
+
+def _sympy_resultant(f: BivarPoly, g: BivarPoly) -> tuple[int, ...]:
+    res = sympy.resultant(_sympy_poly(f, _x), _sympy_poly(g, _x), _x)
+    coeffs = [int(c) for c in reversed(sympy.Poly(res, _t).all_coeffs())]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def generic_fiber_squarefree_mod_p(spec: FamilySpec, p: int) -> bool:
+    """Direct gcd-based check that every cover (and, for multicovers, the
+    product) keeps full x-degree and stays squarefree in x over F_p(t);
+    definition-level oracle for bad_primes."""
+    polys = list(spec.polys)
+    if len(polys) == 2:
+        polys.append(polys[0] * polys[1])
+    for poly in polys:
+        lead = poly.leading_x_coeff()
+        if all(c % p == 0 for c in lead):
+            return False
+        f = _sympy_poly(poly, _x, _t, modulus=p)
+        g = sympy.gcd(f, f.diff(_x))
+        if sympy.Poly(g, _x, _t, modulus=p).degree(_x) > 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +260,25 @@ def test_validation_rejects_non_squarefree_generic_fiber():
         parse_family(MINIMAL.replace("x^3 - x + t^2", "(x - t)^2 * x"))
 
 
+def test_validation_rejects_covers_sharing_a_factor():
+    text = """\
+family "mc"
+kind multicover
+poly (x - t)*(x^2 + 1)
+poly (x - t)*(x + 3)
+genus 2
+trace none
+infinity affine_plus 2 1
+"""
+    with pytest.raises(ValidationError, match="not squarefree in x"):
+        parse_family(text)
+
+
+def test_validation_rejects_non_squarefree_trace_curve():
+    with pytest.raises(ValidationError, match="trace curve"):
+        parse_family(MINIMAL.replace("trace none", "trace curve x^2*(x - 1)"))
+
+
 def test_validation_genus_degree_consistency():
     with pytest.raises(ValidationError):
         parse_family(MINIMAL.replace("genus 1", "genus 2"))
@@ -287,6 +349,44 @@ def test_bad_primes_agree_with_gcd_scan_oracle(name):
     bad = bad_primes(spec)
     for p in [3, 5, 7, 11, 13, 17, 19]:
         assert generic_fiber_squarefree_mod_p(spec, p) == (p not in bad)
+
+
+bivar_small = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 3)), st.integers(-5, 5), max_size=8
+).map(BivarPoly.from_dict)
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=bivar_small, g=bivar_small)
+def test_resultant_x_matches_sympy(f, g):
+    # sympy also puts the larger x-degree first: Res(g, f) when deg f < deg g
+    assert resultant_x(f, g) == _sympy_resultant(f, g)
+
+
+def _sympy_family_data(spec: FamilySpec):
+    """singular_locus_polys, bad_primes and trace_curve_discriminants from sympy."""
+    loci = []
+    for poly in spec.polys:
+        loci += [_sympy_resultant(poly, poly.dx()), poly.leading_x_coeff()]
+    if len(spec.polys) == 2:
+        loci.append(_sympy_resultant(*spec.polys))
+    bad = {2} | set(spec.extra_bad_primes)
+    for locus in loci:
+        bad |= set(sympy.factorint(sympy.gcd_list([abs(c) for c in locus])))
+    discs = []
+    for curve in spec.trace.curves:
+        g = sympy.Poly(list(reversed(curve)), _x)
+        discs.append(abs(int(sympy.resultant(g, g.diff(_x), _x))))
+    return tuple(loci), frozenset(bad), tuple(discs)
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES + ["cubic_t"])
+def test_family_data_matches_sympy(name):
+    spec = parse_family(CUBIC_T) if name == "cubic_t" else load_shipped_family(name)
+    loci, bad, discs = _sympy_family_data(spec)
+    assert singular_locus_polys(spec) == loci
+    assert bad_primes(spec) == bad
+    assert trace_curve_discriminants(spec) == discs
 
 
 def test_singular_locus_polys_shioda_g1():

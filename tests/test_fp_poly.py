@@ -1,6 +1,10 @@
 """Dense F_p[x] arithmetic: gcd, division, squarefree decomposition."""
 
+import itertools
+import random
+
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,11 +46,13 @@ def test_divmod_reconstructs(f, g):
     if not g:
         return
     q, r = fp_poly.divmod_(f, g, 13)
-    recon = fp_poly.trim(
-        (a + b) % 13
-        for a, b in fp_poly._zip_pad(fp_poly.mul(q, g, 13), r, 13)
-    )
-    assert recon == f
+    qg = fp_poly.mul(q, g, 13)
+    n = max(len(qg), len(r))
+    recon = [0] * n
+    for h in (qg, r):
+        for i, c in enumerate(h):
+            recon[i] = (recon[i] + c) % 13
+    assert fp_poly.trim(recon) == f
     assert fp_poly.deg(r) < fp_poly.deg(g)
 
 
@@ -101,8 +107,49 @@ def test_squarefree_decomposition_reconstructs(roots):
 
 
 def test_squarefree_decomposition_degree_guard():
-    with pytest.raises(ValueError):
-        fp_poly.squarefree_decomposition((0, 1, 1, 1), 3)
+    # deg f >= p: x^3 + x^2 + x = x (x - 1)^2 over F_3
+    assert fp_poly.squarefree_decomposition((0, 1, 1, 1), 3) == [((0, 1), 1), ((2, 1), 2)]
+
+
+def _sympy_parts(f, p):
+    """Monic product of the irreducible factors of each multiplicity, by sympy."""
+    x = sympy.Symbol("x")
+    parts = {}
+    for factor, e in sympy.Poly(list(reversed(f)), x, modulus=p).factor_list()[1]:
+        q = fp_poly.monic(tuple(int(c) % p for c in reversed(factor.all_coeffs())), p)
+        parts[e] = fp_poly.mul(parts.get(e, (1,)), q, p)
+    return sorted(parts.items())
+
+
+def _check_against_sympy(f, p):
+    want = _sympy_parts(f, p)
+    assert [(e, q) for q, e in fp_poly.squarefree_decomposition(f, p)] == want, f
+    odd = (1,)
+    for e, q in want:
+        if e % 2:
+            odd = fp_poly.mul(odd, q, p)
+    assert fp_poly.odd_multiplicity_part(f, p) == odd, f
+
+
+def test_squarefree_decomposition_matches_sympy_every_monic_f3():
+    p = 3
+    for d in range(1, 8):
+        for low in itertools.product(range(p), repeat=d):
+            _check_against_sympy(low + (1,), p)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_squarefree_decomposition_matches_sympy_high_degree(p):
+    rng = random.Random(p)
+    for _ in range(150):
+        # a product of random factors to random powers, so repeated roots and
+        # p-th powers occur often
+        f = (rng.randrange(1, p),)
+        while fp_poly.deg(f) < p:
+            q = fp_poly.trim([rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1])
+            for _ in range(rng.choice([1, 1, 2, 3, p, p + 1])):
+                f = fp_poly.mul(f, q, p)
+        _check_against_sympy(f, p)
 
 
 def test_odd_multiplicity_part():
@@ -114,7 +161,7 @@ def test_odd_multiplicity_part():
 
 
 def test_odd_multiplicity_part_large_degree_fallback():
-    # deg f >= p forces the factorization fallback; x^3 (x+1)^2 over F_3
+    # deg f >= p; x^3 (x+1)^2 over F_3
     p = 3
     f = fp_poly.mul((0, 0, 0, 1), fp_poly.mul((1, 1), (1, 1), p), p)
     assert fp_poly.odd_multiplicity_part(f, p) == (0, 1)

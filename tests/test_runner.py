@@ -1,5 +1,6 @@
 """Ledger persistence, resume semantics, verification oracles."""
 
+import dataclasses
 from fractions import Fraction
 from pathlib import Path
 
@@ -152,3 +153,17 @@ def test_verify_family_checks_the_run_kernel(monkeypatch):
     checks = verify_family(load_shipped_family("shioda_g1"), p_max=7)
     assert checks[0].name.startswith("affine_counts")
     assert not checks[0].passed
+
+
+def test_verify_family_checks_the_run_trace_path(monkeypatch):
+    kernel = runner.fiber_arrays
+
+    def off_by_one(spec, ctx):
+        arrays = kernel(spec, ctx)
+        return dataclasses.replace(arrays, a=arrays.a + 1)
+
+    monkeypatch.setattr(runner, "fiber_arrays", off_by_one)
+    checks = verify_family(load_shipped_family("shioda_g1"), p_max=7)
+    assert checks[1].name.startswith("fiber_arrays")
+    assert not checks[1].passed
+    assert "fiber_arrays" in checks[1].detail
