@@ -6,8 +6,8 @@ singular fibers, and the trace identity N = 1 - a + p*m.
 """
 
 from nagao import load_shipped_family
-from nagao.family_model import discriminant_locus, fiber_at
-from nagao.fiber_trace import count_affine, fiber_trace, points_at_infinity
+from nagao.family_model import fiber_at
+from nagao.fiber_trace import count_affine, discriminant_locus, fiber_trace, points_at_infinity
 from nagao.prime_field import make_field
 
 spec = load_shipped_family("shioda_g1")

@@ -21,7 +21,6 @@ from .family_model import (
     FamilySpec,
     FiberConfiguration,
     bad_primes,
-    discriminant_locus,
     fiber_at,
     parse_family,
     parse_poly,
@@ -31,6 +30,7 @@ from .fiber_trace import (
     FiberTraceRecord,
     component_count,
     count_affine,
+    discriminant_locus,
     fiber_trace,
     points_at_infinity,
 )

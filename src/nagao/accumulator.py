@@ -94,7 +94,7 @@ def average_trace(spec: FamilySpec, ctx: FieldCtx) -> Fraction:
     total = int(arrays.a.sum())
     if spec.kind == "constant":
         total += int(arrays.a[0])  # the fiber over infinity is the same curve
-    # trace_zero and affine_plus contribute a = 0 at infinity; skip omits it
+    # trace_zero and affine_plus contribute a = 0 at infinity
     return Fraction(total, p)
 
 

@@ -122,8 +122,6 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "residue" and args.s_list
             else list(DEFAULT_S_GRID)
         )
-        if args.command == "residue" and any(s <= 1 for s in s_list):
-            raise ValueError("every s must exceed 1")
         config = RunConfig(
             family_path=args.family,
             t_max=args.tmax,

@@ -291,7 +291,8 @@ def parse_poly(text: str, line: int = 0) -> BivarPoly:
 @dataclass(frozen=True)
 class InfinityRule:
     """How the fiber over t = infinity (and, for affine_plus, every finite
-    fiber's completion) is handled.  kind in {trace_zero, affine_plus, skip}."""
+    fiber's completion) is handled: trace_zero for a single cover,
+    affine_plus for a multicover."""
 
     kind: str
     nu: int = 0
@@ -379,7 +380,6 @@ class FiberModel:
     polys: tuple[tuple[int, ...], ...]
     generic_deg: tuple[int, ...]
     kind: str
-    rule_kind: str = "trace_zero"
     nu: int = 0  # declared points at infinity for affine_plus families
     m_declared: int = 1
 
@@ -426,15 +426,18 @@ def validate_family(spec: FamilySpec) -> FamilySpec:
                 f"genus {spec.genus} inconsistent with x-degree {d} "
                 f"(expected {2 * spec.genus + 1} or {2 * spec.genus + 2})"
             )
-    for curve, disc in zip(spec.trace.curves, trace_curve_discriminants(spec)):
-        if len(curve) > 1 and not disc:
-            raise ValidationError(f"{spec.name}: trace curve polynomial is not squarefree over Q")
-    if spec.infinity_rule.kind not in ("trace_zero", "affine_plus", "skip"):
-        raise ValidationError(f"unknown infinity rule {spec.infinity_rule.kind!r}")
-    if spec.kind == "multicover" and spec.infinity_rule.kind != "affine_plus":
-        raise ValidationError(
-            "multicover families must declare 'infinity affine_plus <nu> <m>'"
-        )
+    for disc in trace_curve_discriminants(spec):
+        if not disc:  # also 0 for a constant curve
+            raise ValidationError(
+                f"{spec.name}: trace curve polynomial is not squarefree of positive degree"
+            )
+    if spec.kind == "multicover":
+        if spec.infinity_rule.kind != "affine_plus":
+            raise ValidationError(
+                "multicover families must declare 'infinity affine_plus <nu> <m>'"
+            )
+    elif spec.infinity_rule.kind != "trace_zero":
+        raise ValidationError(f"{spec.kind} families must declare 'infinity trace_zero'")
     return spec
 
 
@@ -531,8 +534,6 @@ def parse_family(text: str) -> FamilySpec:
             parts = rest.split()
             if parts[0] == "trace_zero" and len(parts) == 1:
                 infinity = InfinityRule("trace_zero")
-            elif parts[0] == "skip" and len(parts) == 1:
-                infinity = InfinityRule("skip")
             elif parts[0] == "affine_plus" and len(parts) == 3:
                 try:
                     infinity = InfinityRule("affine_plus", nu=int(parts[1]), m=int(parts[2]))
@@ -774,46 +775,17 @@ def fiber_at(spec: FamilySpec, ctx: FieldCtx, c: int | str) -> FiberModel:
         raise BadPrime(f"p = {ctx.p} lies in the bad set of {spec.name}")
     rule = spec.infinity_rule
     degs = tuple(poly.deg_x for poly in spec.polys)
-    nu = rule.nu if rule.kind == "affine_plus" else 0
-    m_declared = rule.m if rule.kind == "affine_plus" else 1
     if c in (INFINITY, None):
         if spec.kind == "constant":
             # X = C0 x P^1: the fiber at infinity is the constant curve itself
             polys = tuple(poly.specialize_t(0, ctx.p) for poly in spec.polys)
-            return FiberModel(None, polys, degs, spec.kind, rule.kind, nu, m_declared)
-        return FiberModel(None, (), degs, spec.kind, rule.kind, nu, m_declared)
+            return FiberModel(None, polys, degs, spec.kind, rule.nu, rule.m)
+        return FiberModel(None, (), degs, spec.kind, rule.nu, rule.m)
     c = int(c)
     if not 0 <= c < ctx.p:
         raise ValueError(f"c = {c} not in F_{ctx.p}")
     polys = tuple(poly.specialize_t(c, ctx.p) for poly in spec.polys)
-    return FiberModel(c, polys, degs, spec.kind, rule.kind, nu, m_declared)
-
-
-def discriminant_locus(spec: FamilySpec, ctx: FieldCtx) -> set[int]:
-    """Finite c where some cover polynomial has a repeated root in x or drops
-    x-degree; the definition is the gcd computation in F_p[x]."""
-    from . import fp_poly
-
-    if ctx.p in bad_primes(spec):
-        raise BadPrime(f"p = {ctx.p} lies in the bad set of {spec.name}")
-    out: set[int] = set()
-    p = ctx.p
-    for c in range(p):
-        for poly in spec.polys:
-            f = poly.specialize_t(c, p)
-            if len(f) - 1 < poly.deg_x:
-                out.add(c)
-                break
-            if len(fp_poly.gcd(f, fp_poly.deriv(f, p), p)) > 1:
-                out.add(c)
-                break
-        else:
-            if len(spec.polys) == 2:
-                f1 = spec.polys[0].specialize_t(c, p)
-                f2 = spec.polys[1].specialize_t(c, p)
-                if len(fp_poly.gcd(f1, f2, p)) > 1:
-                    out.add(c)
-    return out
+    return FiberModel(c, polys, degs, spec.kind, rule.nu, rule.m)
 
 
 @functools.lru_cache(maxsize=64)

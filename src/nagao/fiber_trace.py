@@ -4,6 +4,9 @@ Every trace is recovered from an exact point count through the identity
 N = 1 - a + p*m, where m is the number of F_p-rational components of the
 fiber.  Fibers whose plane model provably cannot certify m are surfaced as
 Unsupported, never guessed.
+
+component_count is the fiber classifier that the kernel shares.  The rest is
+the scalar reference that tests and `nagao verify` check the kernel against.
 """
 
 from __future__ import annotations
@@ -101,22 +104,14 @@ def points_at_infinity(ctx: FieldCtx, fiber: FiberModel) -> int:
 def component_count(ctx: FieldCtx, fiber: FiberModel):
     """Number of F_p-rational components of the fiber, or Unsupported.
 
-    Squarefree full-degree f: smooth, m = 1.  f = s^2 * ftilde with ftilde
-    squarefree nonconstant: the plane curve y^2 = f is irreducible, m = 1.
-    ftilde constant (f a constant times a square) or a singular multicover
-    fiber without a declared rule: refused."""
+    Multicover: the m of the family's affine_plus rule, for every finite
+    fiber.  Single cover, squarefree full-degree f: smooth, m = 1.
+    f = s^2 * ftilde with ftilde squarefree nonconstant: the plane curve
+    y^2 = f is irreducible, m = 1.  An x-degree drop, or ftilde constant (f a
+    constant times a square): refused."""
+    if fiber.kind == "multicover":
+        return fiber.m_declared
     p = ctx.p
-    if len(fiber.polys) == 2:
-        if fiber.rule_kind == "affine_plus":
-            # the family's affine_plus rule supplies (nu, m) for every finite fiber
-            return fiber.m_declared
-        f1, f2 = fiber.polys
-        for f in (f1, f2):
-            if len(fp_poly.gcd(f, fp_poly.deriv(f, p), p)) > 1:
-                return Unsupported(p, fiber.c, "singular multicover fiber")
-        if len(fp_poly.gcd(f1, f2, p)) > 1:
-            return Unsupported(p, fiber.c, "covers share a root")
-        return 1
     f = fiber.polys[0]
     if len(f) - 1 < fiber.generic_deg[0]:
         return Unsupported(p, fiber.c, "x-degree drop")
@@ -129,8 +124,8 @@ def component_count(ctx: FieldCtx, fiber: FiberModel):
     return 1
 
 
-def fiber_trace(ctx: FieldCtx, spec: FamilySpec, c) -> FiberTraceRecord | None:
-    """Full record for the fiber over c; None for a skipped infinity fiber.
+def fiber_trace(ctx: FieldCtx, spec: FamilySpec, c) -> FiberTraceRecord:
+    """Full record for the fiber over c, where c = None is t = infinity.
 
     Raises UnsupportedFiber when component_count refuses the fiber, and
     BadPrime when p lies in the family's bad set."""
@@ -140,10 +135,7 @@ def fiber_trace(ctx: FieldCtx, spec: FamilySpec, c) -> FiberTraceRecord | None:
     fiber = fiber_at(spec, ctx, c)
 
     if fiber.at_infinity and spec.kind != "constant":
-        rule = spec.infinity_rule
-        if rule.kind == "skip":
-            return None
-        # trace_zero, and the infinity fiber of an affine_plus family
+        # trace_zero, and the infinity fiber of a multicover's affine_plus rule
         return FiberTraceRecord(c=None, N=p + 1, m=1, a=0, singular=True)
 
     m = component_count(ctx, fiber)
@@ -168,6 +160,52 @@ def _is_singular(ctx: FieldCtx, fiber: FiberModel) -> bool:
         if len(fp_poly.gcd(fiber.polys[0], fiber.polys[1], p)) > 1:
             return True
     return False
+
+
+def brute_force_affine(p: int, polys: tuple[tuple[int, ...], ...]) -> int:
+    """Count solutions by direct enumeration of (x, y) or (x, y, z) in F_p."""
+    count = 0
+    if len(polys) == 1:
+        f = polys[0]
+        for x in range(p):
+            fx = fp_poly.eval_at(f, x, p)
+            for y in range(p):
+                if (y * y - fx) % p == 0:
+                    count += 1
+    else:
+        f1, f2 = polys
+        for x in range(p):
+            v1 = fp_poly.eval_at(f1, x, p)
+            v2 = fp_poly.eval_at(f2, x, p)
+            n1 = sum(1 for y in range(p) if (y * y - v1) % p == 0)
+            n2 = sum(1 for z in range(p) if (z * z - v2) % p == 0)
+            count += n1 * n2
+    return count
+
+
+def discriminant_locus(spec: FamilySpec, ctx: FieldCtx) -> set[int]:
+    """Finite c where some cover polynomial has a repeated root in x or drops
+    x-degree; the definition is the gcd computation in F_p[x]."""
+    if ctx.p in bad_primes(spec):
+        raise BadPrime(f"p = {ctx.p} lies in the bad set of {spec.name}")
+    out: set[int] = set()
+    p = ctx.p
+    for c in range(p):
+        for poly in spec.polys:
+            f = poly.specialize_t(c, p)
+            if len(f) - 1 < poly.deg_x:
+                out.add(c)
+                break
+            if len(fp_poly.gcd(f, fp_poly.deriv(f, p), p)) > 1:
+                out.add(c)
+                break
+        else:
+            if len(spec.polys) == 2:
+                f1 = spec.polys[0].specialize_t(c, p)
+                f2 = spec.polys[1].specialize_t(c, p)
+                if len(fp_poly.gcd(f1, f2, p)) > 1:
+                    out.add(c)
+    return out
 
 
 def weil_bound(genus: int, p: int) -> float:

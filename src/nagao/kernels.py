@@ -27,11 +27,7 @@ from .family_model import (
     fiber_at,
     singular_locus_polys,
 )
-from .fiber_trace import (
-    Unsupported,
-    component_count,
-    points_at_infinity,
-)
+from .fiber_trace import Unsupported, component_count
 from .prime_field import FieldCtx
 
 _CHUNK_ELEMENTS = 4_000_000  # grid cells held in memory at once
@@ -164,11 +160,12 @@ class FiberArrays:
 
 
 def fiber_arrays(spec: FamilySpec, ctx: FieldCtx) -> FiberArrays:
-    """Traces a[c] for all finite c in one vectorized pass.
+    """Traces a[c] = 1 + p*m - N for all finite c in one vectorized pass.
 
-    Smooth fibers get a = p + 1 - N; fibers on the singular locus are
-    recomputed through the component-count slow path.  Unsupported fibers are
-    collected, not guessed.
+    A multicover takes nu and m from its affine_plus rule.  A single cover has
+    m = 1 and its points over x = infinity from the generic x-degree; the
+    fibers on the singular locus go through component_count only to collect
+    the refused ones, which are never guessed.
     """
     p = ctx.p
     if p in bad_primes(spec):
@@ -178,33 +175,23 @@ def fiber_arrays(spec: FamilySpec, ctx: FieldCtx) -> FiberArrays:
     sing_idx = singular_c_values(spec, ctx)
     singular = np.zeros(p, dtype=bool)
     singular[sing_idx] = True
-    unsupported: list[Unsupported] = []
 
-    if spec.infinity_rule.kind == "affine_plus":
-        nu = spec.infinity_rule.nu
-        m = spec.infinity_rule.m
-        a = 1 + p * m - (n_aff + nu)
-        return FiberArrays(p, a, singular, unsupported)
+    if spec.kind == "multicover":
+        rule = spec.infinity_rule
+        return FiberArrays(p, 1 + p * rule.m - (n_aff + rule.nu), singular, [])
 
-    # single cover: points at infinity from the generic degree
     poly = spec.polys[0]
-    d = poly.deg_x
-    if d % 2 == 1:
-        inf = np.ones(p, dtype=np.int64)
+    if poly.deg_x % 2 == 1:
+        inf = 1
     else:
         lead = fp_poly.trim(c % p for c in poly.leading_x_coeff())
         inf = 1 + _chi_at_all_x(lead, ctx).astype(np.int64)
     a = (p + 1) - (n_aff + inf)
-
+    unsupported = []
     for c in sing_idx:
-        c = int(c)
-        fiber = fiber_at(spec, ctx, c)
-        m = component_count(ctx, fiber)
+        m = component_count(ctx, fiber_at(spec, ctx, int(c)))
         if isinstance(m, Unsupported):
             unsupported.append(m)
-            continue
-        n = int(n_aff[c]) + points_at_infinity(ctx, fiber)
-        a[c] = 1 + p * m - n
     return FiberArrays(p, a, singular, unsupported)
 
 

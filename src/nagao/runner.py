@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from . import fp_poly
 from .accumulator import (
     NagaoSeries,
     SeriesEntry,
@@ -26,8 +25,14 @@ from .accumulator import (
     good_primes,
     iter_entries,
 )
-from .family_model import FamilySpec, bad_primes, discriminant_locus, fiber_at
-from .fiber_trace import UnsupportedFiber, fiber_trace, weil_bound
+from .family_model import FamilySpec, bad_primes, fiber_at
+from .fiber_trace import (
+    UnsupportedFiber,
+    brute_force_affine,
+    discriminant_locus,
+    fiber_trace,
+    weil_bound,
+)
 from .kernels import affine_counts, fiber_arrays, singular_c_values
 from .prime_field import make_field, primes_in_range
 from .shioda_tate import form5_diagnostic
@@ -63,6 +68,8 @@ class RunConfig:
                 raise ValueError("checkpoints must be >= 3")
             if self.checkpoints and self.checkpoints[-1] > self.t_max:
                 raise ValueError("checkpoints must not exceed tmax")
+        if self.s_list is not None and any(s <= 1 for s in self.s_list):
+            raise ValueError("every s must exceed 1")
 
 
 def default_checkpoints(t_max: int, n: int = 12) -> list[int]:
@@ -237,29 +244,8 @@ def summary_dict(result: RunResult, checkpoints: list[int]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Verification oracles (exhaustive enumeration at desk scale)
+# Verification against the scalar references in fiber_trace
 # ---------------------------------------------------------------------------
-
-
-def brute_force_affine(p: int, polys: tuple[tuple[int, ...], ...]) -> int:
-    """Count solutions by direct enumeration of (x, y) or (x, y, z) in F_p."""
-    count = 0
-    if len(polys) == 1:
-        f = polys[0]
-        for x in range(p):
-            fx = fp_poly.eval_at(f, x, p)
-            for y in range(p):
-                if (y * y - fx) % p == 0:
-                    count += 1
-    else:
-        f1, f2 = polys
-        for x in range(p):
-            v1 = fp_poly.eval_at(f1, x, p)
-            v2 = fp_poly.eval_at(f2, x, p)
-            n1 = sum(1 for y in range(p) if (y * y - v1) % p == 0)
-            n2 = sum(1 for z in range(p) if (z * z - v2) % p == 0)
-            count += n1 * n2
-    return count
 
 
 @dataclass

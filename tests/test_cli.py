@@ -128,6 +128,25 @@ def test_invalid_family_semantics_exits_1(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "name, old, new",
+    [
+        ("constant_E", "trace curve x^3 - x", "trace curve 5"),
+        ("shioda_g1", "infinity trace_zero", "infinity affine_plus 2 1"),
+    ],
+)
+def test_inconsistent_family_declaration_exits_1(tmp_path, family_file, capsys, name, old, new):
+    fam = Path(family_file(name))
+    text = fam.read_text()
+    assert old in text
+    fam.write_text(text.replace(old, new))
+    rc = main(["run", "--family", str(fam), "--tmax", "50", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_checkpoints_exit_1(tmp_path, family_file):
     rc = main([
         "run", "--family", family_file("shioda_g1"),

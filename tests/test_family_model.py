@@ -18,7 +18,6 @@ from nagao.family_model import (
     TraceSpec,
     ValidationError,
     bad_primes,
-    discriminant_locus,
     fiber_at,
     parse_family,
     parse_m_rule,
@@ -29,6 +28,7 @@ from nagao.family_model import (
     trace_curve_discriminants,
     validate_family,
 )
+from nagao.fiber_trace import discriminant_locus
 from nagao.prime_field import make_field
 
 FAMILY_NAMES = ["constant_E", "shioda_g1", "shioda_g2", "multicover_ex2"]
@@ -234,6 +234,7 @@ def test_parse_family_minimal_and_comments():
         ("family \"toy\"", "family toy"),
         ("infinity trace_zero", "infinity sideways"),
         ("trace none", "trace maybe"),
+        ("infinity trace_zero", "infinity skip"),  # a removed rule
     ],
 )
 def test_parse_family_missing_or_bad_lines(mutation):
@@ -277,6 +278,9 @@ infinity affine_plus 2 1
 def test_validation_rejects_non_squarefree_trace_curve():
     with pytest.raises(ValidationError, match="trace curve"):
         parse_family(MINIMAL.replace("trace none", "trace curve x^2*(x - 1)"))
+    # a constant has no Jacobian, and every prime would divide its discriminant 0
+    with pytest.raises(ValidationError, match="trace curve"):
+        parse_family(MINIMAL.replace("trace none", "trace curve 5"))
 
 
 def test_validation_genus_degree_consistency():
@@ -298,6 +302,15 @@ infinity trace_zero
         parse_family(text)
     ok = parse_family(text.replace("infinity trace_zero", "infinity affine_plus 2 1"))
     assert ok.infinity_rule.nu == 2
+
+
+@pytest.mark.parametrize("name", ["shioda_g1", "constant_E"])
+def test_validation_single_cover_needs_trace_zero(name):
+    # affine_plus declares nu and m for a multicover; a single cover's points
+    # at infinity follow from its x-degree
+    text = render_family(load_shipped_family(name))
+    with pytest.raises(ValidationError, match="must declare 'infinity trace_zero'"):
+        parse_family(text.replace("infinity trace_zero", "infinity affine_plus 2 1"))
 
 
 def test_validation_constant_must_not_involve_t():

@@ -11,6 +11,7 @@ from nagao.fiber_trace import (
     FiberTraceRecord,
     Unsupported,
     UnsupportedFiber,
+    brute_force_affine,
     component_count,
     count_affine,
     fiber_trace,
@@ -18,7 +19,6 @@ from nagao.fiber_trace import (
     weil_bound,
 )
 from nagao.prime_field import make_field
-from nagao.runner import brute_force_affine
 
 
 def single_fiber(p, coeffs, generic_deg=None):
@@ -45,7 +45,6 @@ def test_count_affine_multicover_frozen_value():
         polys=((-30 % 7, 31 % 7, -10 % 7, 1), (0, 3, 3, 1)),
         generic_deg=(3, 3),
         kind="multicover",
-        rule_kind="affine_plus",
         nu=2,
         m_declared=1,
     )
@@ -74,7 +73,7 @@ def test_points_at_infinity_cases():
         points_at_infinity(ctx, single_fiber(5, (1, 1), generic_deg=3))
     mc = FiberModel(
         c=0, polys=((1,), (1,)), generic_deg=(3, 3), kind="multicover",
-        rule_kind="affine_plus", nu=2, m_declared=1,
+        nu=2, m_declared=1,
     )
     assert points_at_infinity(ctx, mc) == 2
 
@@ -115,8 +114,6 @@ def test_trace_identity_round_trip(name):
             try:
                 rec = fiber_trace(ctx, spec, c)
             except UnsupportedFiber:
-                continue
-            if rec is None:
                 continue
             assert rec.N == 1 - rec.a + p * rec.m
             if not rec.singular:

@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from nagao import load_shipped_family, parse_family
-from nagao.family_model import bad_primes, discriminant_locus, fiber_at
-from nagao.fiber_trace import UnsupportedFiber, count_affine, fiber_trace
+from nagao.family_model import bad_primes, fiber_at
+from nagao.fiber_trace import (
+    UnsupportedFiber,
+    brute_force_affine,
+    count_affine,
+    discriminant_locus,
+    fiber_trace,
+)
 from nagao.kernels import (
     affine_counts,
     fiber_arrays,
@@ -30,6 +36,24 @@ infinity affine_plus 2 1
 """
 
 
+# genus-1 single covers whose fiber at c = 0 component_count refuses
+REFUSED_AT_0 = {
+    "x_degree_drop": "t*x^3 + x^2 + 1",
+    "constant_times_square": "(x^2-1)^2 + t*x",
+}
+
+
+def load_family(name):
+    if name == "multicover_ex2_swapped":
+        return parse_family(SWAPPED_MULTICOVER)
+    if name in REFUSED_AT_0:
+        return parse_family(
+            f'family "{name}"\nkind hyperelliptic\npoly {REFUSED_AT_0[name]}\n'
+            "genus 1\ntrace none\ninfinity trace_zero\n"
+        )
+    return load_shipped_family(name)
+
+
 def good_small_primes(spec, hi=23):
     bad = bad_primes(spec)
     return [p for p in (3, 5, 7, 11, 13, 17, 19, 23) if p <= hi and p not in bad]
@@ -37,10 +61,7 @@ def good_small_primes(spec, hi=23):
 
 @pytest.mark.parametrize("name", FAMILY_NAMES + ["multicover_ex2_swapped"])
 def test_affine_counts_match_scalar_path(name):
-    if name == "multicover_ex2_swapped":
-        spec = parse_family(SWAPPED_MULTICOVER)
-    else:
-        spec = load_shipped_family(name)
+    spec = load_family(name)
     for p in good_small_primes(spec):
         ctx = make_field(p)
         counts = affine_counts(spec, ctx)
@@ -64,14 +85,15 @@ def test_singular_c_values_match_gcd_definition(name):
         assert via_resultant == discriminant_locus(spec, ctx)
 
 
-@pytest.mark.parametrize("name", FAMILY_NAMES)
+@pytest.mark.parametrize("name", FAMILY_NAMES + list(REFUSED_AT_0))
 def test_fiber_arrays_match_fiber_trace(name):
-    spec = load_shipped_family(name)
+    spec = load_family(name)
     for p in good_small_primes(spec):
         ctx = make_field(p)
         arrays = fiber_arrays(spec, ctx)
         assert arrays.p == p and arrays.a.shape == (p,)
         unsupported_cs = {u.c for u in arrays.unsupported}
+        assert (0 in unsupported_cs) == (name in REFUSED_AT_0)
         for c in range(p):
             try:
                 rec = fiber_trace(ctx, spec, c)
@@ -94,7 +116,5 @@ def test_univariate_curve_trace_matches_count():
     curve = (-30, 31, -10, 1)  # (x-2)(x-3)(x-5)
     for p in (7, 11, 13, 17, 19, 23):
         ctx = make_field(p)
-        from nagao.runner import brute_force_affine
-
         N = brute_force_affine(p, (tuple(c % p for c in curve),)) + 1
         assert univariate_curve_trace(ctx, curve) == p + 1 - N

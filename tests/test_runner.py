@@ -8,10 +8,10 @@ import pytest
 
 from nagao import load_shipped_family, runner
 from nagao.accumulator import SeriesEntry, family_hash
+from nagao.fiber_trace import brute_force_affine
 from nagao.runner import (
     LedgerMismatch,
     RunConfig,
-    brute_force_affine,
     default_checkpoints,
     entry_row,
     load_ledger,
@@ -43,7 +43,9 @@ def test_run_config_validation():
         RunConfig("f", 100, "o", checkpoints=[50, 10]).validate()
     with pytest.raises(ValueError):
         RunConfig("f", 100, "o", checkpoints=[10, 200]).validate()
-    RunConfig("f", 100, "o", checkpoints=[10, 100]).validate()
+    with pytest.raises(ValueError, match="every s must exceed 1"):
+        RunConfig("f", 100, "o", s_list=[1.5, 1.0]).validate()
+    RunConfig("f", 100, "o", checkpoints=[10, 100], s_list=[1.5]).validate()
 
 
 def test_default_checkpoints():
