@@ -25,17 +25,9 @@ from .family_model import (
     render_family,
     trace_curve_discriminants,
 )
+from .fiber_trace import UnsupportedFiber
 from .kernels import fiber_arrays, univariate_curve_trace
 from .prime_field import FieldCtx, make_field, primes_in_range
-
-
-class SkippedPrime(Exception):
-    """The prime contributes no entry; carries the reason string."""
-
-    def __init__(self, p: int, reason: str):
-        super().__init__(f"p = {p} skipped: {reason}")
-        self.p = p
-        self.reason = reason
 
 
 class BadTracePrime(Exception):
@@ -43,7 +35,7 @@ class BadTracePrime(Exception):
 
 
 class DomainError(ValueError):
-    """Dirichlet evaluation requested at s <= 1."""
+    """Dirichlet evaluation requested at s <= 1 or s = NaN."""
 
 
 @dataclass(frozen=True)
@@ -85,17 +77,17 @@ def trace_correction(spec: FamilySpec, ctx: FieldCtx) -> int:
 
 
 def average_trace(spec: FamilySpec, ctx: FieldCtx) -> Fraction:
-    """A_p = (1/p) * sum over c in P^1(F_p) of the fiber trace at c."""
-    p = ctx.p
+    """A_p = (1/p) * sum over c in P^1(F_p) of the fiber trace at c.
+
+    Raises the first UnsupportedFiber when a fiber's trace is refused."""
     arrays = fiber_arrays(spec, ctx)
     if arrays.unsupported:
-        u = arrays.unsupported[0]
-        raise SkippedPrime(p, f"unsupported fiber at c={u.c}: {u.why}")
+        raise arrays.unsupported[0]
     total = int(arrays.a.sum())
     if spec.kind == "constant":
         total += int(arrays.a[0])  # the fiber over infinity is the same curve
     # trace_zero and affine_plus contribute a = 0 at infinity
-    return Fraction(total, p)
+    return Fraction(total, ctx.p)
 
 
 def reduced_average_trace(spec: FamilySpec, ctx: FieldCtx) -> Fraction:
@@ -117,8 +109,9 @@ def compute_entry(spec: FamilySpec, p: int) -> SeriesEntry:
         return SeriesEntry(p, None, None, None, skipped=True, reason="bad trace prime")
     try:
         a_p = average_trace(spec, ctx)
-    except SkippedPrime as exc:
-        return SeriesEntry(p, None, None, None, skipped=True, reason=exc.reason)
+    except UnsupportedFiber as exc:
+        reason = f"unsupported fiber at c={exc.c}: {exc.why}"
+        return SeriesEntry(p, None, None, None, skipped=True, reason=reason)
     return SeriesEntry(p, a_p, a_b, a_p - a_b)
 
 
@@ -198,7 +191,7 @@ def dirichlet_residue(
 ) -> list[tuple[float, float]]:
     """(s, (s-1) * D(s)) with D(s) = sum_{p <= T} -A*_p log(p) / p^s."""
     for s in s_list:
-        if s <= 1:
+        if not s > 1:  # also catches NaN
             raise DomainError(f"s must exceed 1, got {s}")
     out = []
     for s in s_list:

@@ -469,6 +469,8 @@ def parse_m_rule(text: str, line: int = 0) -> MRule:
         )
     m = _M_RULE_MOD.match(text)
     if m:
+        if int(m.group(2)) == 0:
+            raise ParseError(f"m-rule modulus must be positive in {text!r}", line)
         return MRule(
             kind="mod",
             m_yes=int(m.group(1)),
@@ -532,9 +534,9 @@ def parse_family(text: str) -> FamilySpec:
                 raise ParseError(f"trace must be 'none' or 'curve <expr>', got {rest!r}", lineno)
         elif key == "infinity":
             parts = rest.split()
-            if parts[0] == "trace_zero" and len(parts) == 1:
+            if parts == ["trace_zero"]:
                 infinity = InfinityRule("trace_zero")
-            elif parts[0] == "affine_plus" and len(parts) == 3:
+            elif len(parts) == 3 and parts[0] == "affine_plus":
                 try:
                     infinity = InfinityRule("affine_plus", nu=int(parts[1]), m=int(parts[2]))
                 except ValueError:
@@ -744,18 +746,13 @@ def bad_primes(spec: FamilySpec) -> frozenset[int]:
 
     Contains 2, every prime at which some cover loses x-degree or fails to be
     squarefree over F_p(t), and the declared extras.  Degeneracy at p is
-    detected exactly: the relevant specialization obstructions are integer
-    contents of t-resultants, so the candidate primes are their divisors.
+    detected exactly: the obstructions are the integer contents of the
+    singular-locus polynomials (the generic x-degree drops exactly at the
+    divisors of a leading x-coefficient's content), so the candidate primes
+    are their divisors.
     """
     bad: set[int] = {2}
     bad |= set(spec.extra_bad_primes)
-    for poly in spec.polys:
-        lead = poly.leading_x_coeff()
-        content = _content(lead)
-        if content == 0:
-            raise ValidationError("zero cover polynomial")
-        # the generic x-degree drops exactly at the divisors of the content
-        bad |= _prime_factors(content)
     for res in singular_locus_polys(spec):
         c = _content(res)
         if c == 0:

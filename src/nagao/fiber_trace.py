@@ -2,8 +2,8 @@
 
 Every trace is recovered from an exact point count through the identity
 N = 1 - a + p*m, where m is the number of F_p-rational components of the
-fiber.  Fibers whose plane model provably cannot certify m are surfaced as
-Unsupported, never guessed.
+fiber.  Fibers whose plane model provably cannot certify m are refused: they
+surface as UnsupportedFiber, never guessed.
 
 component_count is the fiber classifier that the kernel shares.  The rest is
 the scalar reference that tests and `nagao verify` check the kernel against.
@@ -14,37 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import fp_poly
-from .family_model import (
-    BadPrime,
-    FamilySpec,
-    FiberModel,
-    bad_primes,
-    fiber_at,
-)
+from .family_model import FamilySpec, FiberModel, fiber_at
 from .prime_field import FieldCtx
 
 
-class DegenerateDegree(ValueError):
-    """Leading coefficient vanished; the plane model changes at infinity."""
-
-
 class UnsupportedFiber(Exception):
-    """Raised when a fiber's component count is refused; carries (p, c)."""
+    """Raised when a fiber's trace cannot be certified; carries (p, c, why)."""
 
     def __init__(self, p: int, c: int | None, why: str):
         super().__init__(f"unsupported fiber at p={p}, c={c}: {why}")
         self.p = p
         self.c = c
         self.why = why
-
-
-@dataclass(frozen=True)
-class Unsupported:
-    """Returned (not raised) by component_count for refused fiber classes."""
-
-    p: int
-    c: int | None
-    why: str
 
 
 @dataclass(frozen=True)
@@ -87,40 +68,36 @@ def points_at_infinity(ctx: FieldCtx, fiber: FiberModel) -> int:
 
     Odd-degree hyperelliptic: one (ramified) point.  Even degree: two points
     when the leading coefficient is a square, none otherwise.  Multicover
-    families declare the constant count nu in their infinity rule."""
+    families declare the constant count nu in their infinity rule.  An
+    x-degree drop changes the model at infinity and raises UnsupportedFiber."""
     if fiber.kind == "multicover":
         return fiber.nu
     f = fiber.polys[0]
     d = fiber.generic_deg[0]
     if len(f) - 1 < d:
-        raise DegenerateDegree(
-            f"x-degree dropped from {d} to {len(f) - 1} at c={fiber.c}"
-        )
+        raise UnsupportedFiber(ctx.p, fiber.c, "x-degree drop")
     if d % 2 == 1:
         return 1
     return 1 + ctx.chi(f[-1])
 
 
-def component_count(ctx: FieldCtx, fiber: FiberModel):
-    """Number of F_p-rational components of the fiber, or Unsupported.
+def component_count(ctx: FieldCtx, fiber: FiberModel) -> int:
+    """Number of F_p-rational components of the fiber.
 
     Multicover: the m of the family's affine_plus rule, for every finite
-    fiber.  Single cover, squarefree full-degree f: smooth, m = 1.
-    f = s^2 * ftilde with ftilde squarefree nonconstant: the plane curve
-    y^2 = f is irreducible, m = 1.  An x-degree drop, or ftilde constant (f a
-    constant times a square): refused."""
+    fiber.  Single cover, f = s^2 * ftilde with ftilde squarefree nonconstant
+    (s = 1 for a smooth fiber): the plane curve y^2 = f is irreducible,
+    m = 1.  An x-degree drop, or ftilde constant (f a constant times a
+    square): raises UnsupportedFiber."""
     if fiber.kind == "multicover":
         return fiber.m_declared
-    p = ctx.p
     f = fiber.polys[0]
     if len(f) - 1 < fiber.generic_deg[0]:
-        return Unsupported(p, fiber.c, "x-degree drop")
-    g = fp_poly.gcd(f, fp_poly.deriv(f, p), p)
-    if len(g) <= 1:
-        return 1
-    ftilde = fp_poly.odd_multiplicity_part(f, p)
-    if len(ftilde) <= 1:
-        return Unsupported(p, fiber.c, "fiber polynomial is a constant times a square")
+        raise UnsupportedFiber(ctx.p, fiber.c, "x-degree drop")
+    if len(fp_poly.odd_multiplicity_part(f, ctx.p)) <= 1:
+        raise UnsupportedFiber(
+            ctx.p, fiber.c, "fiber polynomial is a constant times a square"
+        )
     return 1
 
 
@@ -128,10 +105,8 @@ def fiber_trace(ctx: FieldCtx, spec: FamilySpec, c) -> FiberTraceRecord:
     """Full record for the fiber over c, where c = None is t = infinity.
 
     Raises UnsupportedFiber when component_count refuses the fiber, and
-    BadPrime when p lies in the family's bad set."""
+    BadPrime (from fiber_at) when p lies in the family's bad set."""
     p = ctx.p
-    if p in bad_primes(spec):
-        raise BadPrime(f"p = {p} lies in the bad set of {spec.name}")
     fiber = fiber_at(spec, ctx, c)
 
     if fiber.at_infinity and spec.kind != "constant":
@@ -139,8 +114,6 @@ def fiber_trace(ctx: FieldCtx, spec: FamilySpec, c) -> FiberTraceRecord:
         return FiberTraceRecord(c=None, N=p + 1, m=1, a=0, singular=True)
 
     m = component_count(ctx, fiber)
-    if isinstance(m, Unsupported):
-        raise UnsupportedFiber(m.p, m.c, m.why)
     n_affine = count_affine(ctx, fiber)
     n_inf = points_at_infinity(ctx, fiber)
     N = n_affine + n_inf
@@ -150,6 +123,8 @@ def fiber_trace(ctx: FieldCtx, spec: FamilySpec, c) -> FiberTraceRecord:
 
 
 def _is_singular(ctx: FieldCtx, fiber: FiberModel) -> bool:
+    """Some cover drops x-degree or has a repeated root, or two covers share
+    a root: the defining gcd computation in F_p[x]."""
     p = ctx.p
     for i, f in enumerate(fiber.polys):
         if len(f) - 1 < fiber.generic_deg[i]:
@@ -184,28 +159,9 @@ def brute_force_affine(p: int, polys: tuple[tuple[int, ...], ...]) -> int:
 
 
 def discriminant_locus(spec: FamilySpec, ctx: FieldCtx) -> set[int]:
-    """Finite c where some cover polynomial has a repeated root in x or drops
-    x-degree; the definition is the gcd computation in F_p[x]."""
-    if ctx.p in bad_primes(spec):
-        raise BadPrime(f"p = {ctx.p} lies in the bad set of {spec.name}")
-    out: set[int] = set()
-    p = ctx.p
-    for c in range(p):
-        for poly in spec.polys:
-            f = poly.specialize_t(c, p)
-            if len(f) - 1 < poly.deg_x:
-                out.add(c)
-                break
-            if len(fp_poly.gcd(f, fp_poly.deriv(f, p), p)) > 1:
-                out.add(c)
-                break
-        else:
-            if len(spec.polys) == 2:
-                f1 = spec.polys[0].specialize_t(c, p)
-                f2 = spec.polys[1].specialize_t(c, p)
-                if len(fp_poly.gcd(f1, f2, p)) > 1:
-                    out.add(c)
-    return out
+    """Finite c whose fiber is singular by the gcd definition (_is_singular);
+    raises BadPrime when p lies in the family's bad set."""
+    return {c for c in range(ctx.p) if _is_singular(ctx, fiber_at(spec, ctx, c))}
 
 
 def weil_bound(genus: int, p: int) -> float:

@@ -27,7 +27,7 @@ from .family_model import (
     fiber_at,
     singular_locus_polys,
 )
-from .fiber_trace import Unsupported, component_count
+from .fiber_trace import UnsupportedFiber, component_count
 from .prime_field import FieldCtx
 
 _CHUNK_ELEMENTS = 4_000_000  # grid cells held in memory at once
@@ -156,7 +156,7 @@ class FiberArrays:
     p: int
     a: np.ndarray  # int64, length p
     singular: np.ndarray  # bool, length p
-    unsupported: list[Unsupported]
+    unsupported: list[UnsupportedFiber]
 
 
 def fiber_arrays(spec: FamilySpec, ctx: FieldCtx) -> FiberArrays:
@@ -165,7 +165,7 @@ def fiber_arrays(spec: FamilySpec, ctx: FieldCtx) -> FiberArrays:
     A multicover takes nu and m from its affine_plus rule.  A single cover has
     m = 1 and its points over x = infinity from the generic x-degree; the
     fibers on the singular locus go through component_count only to collect
-    the refused ones, which are never guessed.
+    the ones it refuses, which are never guessed.
     """
     p = ctx.p
     if p in bad_primes(spec):
@@ -189,9 +189,10 @@ def fiber_arrays(spec: FamilySpec, ctx: FieldCtx) -> FiberArrays:
     a = (p + 1) - (n_aff + inf)
     unsupported = []
     for c in sing_idx:
-        m = component_count(ctx, fiber_at(spec, ctx, int(c)))
-        if isinstance(m, Unsupported):
-            unsupported.append(m)
+        try:
+            component_count(ctx, fiber_at(spec, ctx, int(c)))
+        except UnsupportedFiber as exc:
+            unsupported.append(exc)
     return FiberArrays(p, a, singular, unsupported)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -68,8 +69,8 @@ class RunConfig:
                 raise ValueError("checkpoints must be >= 3")
             if self.checkpoints and self.checkpoints[-1] > self.t_max:
                 raise ValueError("checkpoints must not exceed tmax")
-        if self.s_list is not None and any(s <= 1 for s in self.s_list):
-            raise ValueError("every s must exceed 1")
+        if self.s_list is not None and not all(1 < s < math.inf for s in self.s_list):
+            raise ValueError("every s must exceed 1 and be finite")
 
 
 def default_checkpoints(t_max: int, n: int = 12) -> list[int]:
@@ -77,8 +78,6 @@ def default_checkpoints(t_max: int, n: int = 12) -> list[int]:
     if t_max <= 10:
         return [t_max]
     out = set()
-    import math
-
     lo, hi = math.log10(10.0), math.log10(float(t_max))
     for k in range(n):
         out.add(int(round(10 ** (lo + (hi - lo) * k / (n - 1)))))
@@ -110,7 +109,10 @@ def row_entry(row: dict[str, str]) -> SeriesEntry:
     p = int(row["p"])
     if row["skipped"] == "1":
         return SeriesEntry(p, None, None, None, skipped=True, reason=row["reason"])
-    a_p = Fraction(int(row["A_p_num"]), int(row["A_p_den"]))
+    den = int(row["A_p_den"])
+    if den not in (1, p):  # A_p has denominator dividing p
+        raise ValueError(f"A_p_den = {den} is neither 1 nor p = {p}")
+    a_p = Fraction(int(row["A_p_num"]), den)
     a_b = int(row["a_p_B"])
     return SeriesEntry(p, a_p, a_b, a_p - a_b)
 
@@ -132,7 +134,8 @@ def load_ledger(path: Path) -> tuple[str | None, list[SeriesEntry]]:
     """Family hash and entries of an existing ledger; (None, []) if absent.
 
     A torn final row is dropped from the file, so a resume recomputes that
-    prime.  Any other malformed row raises LedgerMismatch.
+    prime.  A header other than LEDGER_FIELDS, a p that does not strictly
+    ascend, or any other malformed row raises LedgerMismatch.
     """
     if not path.exists():
         return None, []
@@ -141,9 +144,18 @@ def load_ledger(path: Path) -> tuple[str | None, list[SeriesEntry]]:
     fam_hash = None
     with path.open(newline="") as fh:
         try:
-            for row in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            if reader.fieldnames not in (None, LEDGER_FIELDS):
+                raise LedgerMismatch(
+                    f"ledger at {path}: header {reader.fieldnames} is not "
+                    f"{LEDGER_FIELDS}; it cannot be resumed"
+                )
+            for row in reader:
                 fam_hash = row["family_hash"]
-                entries.append(row_entry(row))
+                entry = row_entry(row)
+                if entries and entry.p <= entries[-1].p:
+                    raise ValueError(f"p = {entry.p} does not exceed {entries[-1].p}")
+                entries.append(entry)
         except (csv.Error, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise LedgerMismatch(
                 f"ledger at {path}: row {len(entries) + 1} is malformed "

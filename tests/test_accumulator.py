@@ -147,8 +147,9 @@ def test_synthetic_cesaro_tracks_theta():
 
 def test_dirichlet_residue_values_and_domain():
     entries = synthetic_entries(-1, 1000)
-    with pytest.raises(DomainError):
-        dirichlet_residue(entries, [1.0], 1000)
+    for bad_s in (1.0, math.nan):
+        with pytest.raises(DomainError):
+            dirichlet_residue(entries, [bad_s], 1000)
     s = 1.25
     got = dirichlet_residue(entries, [s], 1000)
     want = (s - 1) * sum(

@@ -67,12 +67,13 @@ def test_residue_output_and_domain_error(tmp_path, family_file):
         rows = list(csv.DictReader(fh))
     assert [float(r["s"]) for r in rows] == [1.25, 1.125]
     assert all(int(r["T"]) == 100 for r in rows)
-    # s <= 1 is rejected before any computation
-    rc = main([
-        "residue", "--family", fam, "--tmax", "100",
-        "--out", str(out), "--s-list", "0.9",
-    ])
-    assert rc == 1
+    # s <= 1, NaN and infinity are rejected before any computation
+    for bad_s in ("0.9", "nan", "inf"):
+        rc = main([
+            "residue", "--family", fam, "--tmax", "100",
+            "--out", str(out), "--s-list", f"1.25,{bad_s}",
+        ])
+        assert rc == 1
 
 
 def test_verify_prints_one_line_per_check(family_file, capsys):
@@ -181,6 +182,42 @@ def test_resume_with_corrupt_middle_row_exits_2(tmp_path, family_file, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "row 5" in err and "Traceback" not in err
+
+
+def _swap_header_columns(lines):
+    lines[0] = lines[0].replace(b"A_p_num,A_p_den", b"A_p_den,A_p_num")
+
+
+def _duplicate_row_3(lines):
+    lines.append(lines[3])
+
+
+def _den_neither_1_nor_p(lines):
+    fields = lines[4].split(b",")
+    fields[3] = b"2"  # row 4 is p = 11, so 2 is neither 1 nor p
+    lines[4] = b",".join(fields)
+
+
+@pytest.mark.parametrize(
+    "corrupt, where",
+    [
+        (_swap_header_columns, "header"),
+        (_duplicate_row_3, "row 15"),
+        (_den_neither_1_nor_p, "row 4"),
+    ],
+)
+def test_resume_with_inconsistent_ledger_exits_2(tmp_path, family_file, capsys, corrupt, where):
+    out = tmp_path / "out"
+    fam = family_file("shioda_g1")
+    assert main(["run", "--family", fam, "--tmax", "50", "--out", str(out)]) == 0
+    ledger = out / "ledger.csv"
+    lines = ledger.read_bytes().splitlines(keepends=True)
+    corrupt(lines)
+    ledger.write_bytes(b"".join(lines))
+    rc = main(["run", "--family", fam, "--tmax", "50", "--out", str(out), "--resume"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
 
 
 def test_resume_series_bitwise_identical(tmp_path, family_file):

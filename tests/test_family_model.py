@@ -235,6 +235,7 @@ def test_parse_family_minimal_and_comments():
         ("infinity trace_zero", "infinity sideways"),
         ("trace none", "trace maybe"),
         ("infinity trace_zero", "infinity skip"),  # a removed rule
+        ("infinity trace_zero", "infinity"),  # no rule at all
     ],
 )
 def test_parse_family_missing_or_bad_lines(mutation):
@@ -342,6 +343,8 @@ def test_parse_m_rule_kinds():
     assert rule.value(13) == 2 and rule.value(7) == 1
     with pytest.raises(ParseError):
         parse_m_rule("maybe 2")
+    with pytest.raises(ParseError, match="modulus"):
+        parse_m_rule("2 if p % 0 == 1 else 1")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nagao import load_shipped_family, parse_family
+from nagao.accumulator import compute_entry
 from nagao.family_model import bad_primes, fiber_at
 from nagao.fiber_trace import (
     UnsupportedFiber,
@@ -103,6 +104,21 @@ def test_fiber_arrays_match_fiber_trace(name):
             assert c not in unsupported_cs
             assert arrays.a[c] == rec.a
             assert bool(arrays.singular[c]) == rec.singular
+
+
+@pytest.mark.parametrize(
+    "name, why",
+    [
+        ("x_degree_drop", "x-degree drop"),
+        ("constant_times_square", "fiber polynomial is a constant times a square"),
+    ],
+)
+def test_refused_fiber_reason_reaches_ledger_entry(name, why):
+    spec = load_family(name)
+    for p in good_small_primes(spec):
+        entry = compute_entry(spec, p)
+        assert entry.skipped and entry.A_p is None
+        assert entry.reason == f"unsupported fiber at c=0: {why}"
 
 
 def test_univariate_curve_trace_known_values():

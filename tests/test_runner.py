@@ -1,6 +1,7 @@
 """Ledger persistence, resume semantics, verification oracles."""
 
 import dataclasses
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,8 +44,9 @@ def test_run_config_validation():
         RunConfig("f", 100, "o", checkpoints=[50, 10]).validate()
     with pytest.raises(ValueError):
         RunConfig("f", 100, "o", checkpoints=[10, 200]).validate()
-    with pytest.raises(ValueError, match="every s must exceed 1"):
-        RunConfig("f", 100, "o", s_list=[1.5, 1.0]).validate()
+    for bad_s in (1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="every s must exceed 1"):
+            RunConfig("f", 100, "o", s_list=[1.5, bad_s]).validate()
     RunConfig("f", 100, "o", checkpoints=[10, 100], s_list=[1.5]).validate()
 
 
