@@ -26,7 +26,7 @@ from .family_model import (
     trace_curve_discriminants,
 )
 from .fiber_trace import UnsupportedFiber
-from .kernels import fiber_arrays, univariate_curve_trace
+from .kernels import trace_sum, univariate_curve_trace
 from .prime_field import FieldCtx, make_field, primes_in_range
 
 
@@ -35,7 +35,7 @@ class BadTracePrime(Exception):
 
 
 class DomainError(ValueError):
-    """Dirichlet evaluation requested at s <= 1 or s = NaN."""
+    """Dirichlet evaluation requested at s <= 1, s = infinity or s = NaN."""
 
 
 @dataclass(frozen=True)
@@ -80,13 +80,9 @@ def average_trace(spec: FamilySpec, ctx: FieldCtx) -> Fraction:
     """A_p = (1/p) * sum over c in P^1(F_p) of the fiber trace at c.
 
     Raises the first UnsupportedFiber when a fiber's trace is refused."""
-    arrays = fiber_arrays(spec, ctx)
-    if arrays.unsupported:
-        raise arrays.unsupported[0]
-    total = int(arrays.a.sum())
-    if spec.kind == "constant":
-        total += int(arrays.a[0])  # the fiber over infinity is the same curve
-    # trace_zero and affine_plus contribute a = 0 at infinity
+    total, unsupported = trace_sum(spec, ctx)
+    if unsupported:
+        raise unsupported[0]
     return Fraction(total, ctx.p)
 
 
@@ -191,8 +187,8 @@ def dirichlet_residue(
 ) -> list[tuple[float, float]]:
     """(s, (s-1) * D(s)) with D(s) = sum_{p <= T} -A*_p log(p) / p^s."""
     for s in s_list:
-        if not s > 1:  # also catches NaN
-            raise DomainError(f"s must exceed 1, got {s}")
+        if not 1 < s < math.inf:  # also catches NaN
+            raise DomainError(f"s must exceed 1 and be finite, got {s}")
     out = []
     for s in s_list:
         acc = 0.0

@@ -1,15 +1,27 @@
-"""Batched per-prime evaluation of fiber point counts.
+"""Batched per-prime evaluation of fiber point counts and their sum.
 
-The inner loop of every run is, for each prime p, the p x p grid of
-character values chi(F(x, c)).  The grid is evaluated columnwise in chunks
-with numpy: the t-coefficients of F are specialized to x once per prime,
-powers of c are shared across the chunk, and a single modular reduction is
-applied per chunk when the intermediate bound allows.  Every family kind
-goes through this grid.  A cover that does not involve t (the constant
-surface, or one cover of a multicover) has the same values in every column,
-so it costs one column per prime, which numpy broadcasts across the grid.
-Any exact method is conforming; this one keeps the per-prime cost at
-O(p^2) table lookups.
+A run needs, for each prime p, only the sum of the fiber traces over
+P^1(F_p) and the fibers whose trace is refused.  trace_sum gets that sum
+from one of three exact kernels, each giving sum_c N_affine(c).  kernel_name
+picks it from the shape of F over Z, so a family uses one kernel at every
+prime:
+
+- closed_form_t2: at most one cover involves t, with t-degree <= 2.  For
+  each x the inner sum over c of chi(a c^2 + b c + e) has a closed form
+  (Berndt-Evans-Williams, Gauss and Jacobi Sums, Thm 2.1.2), so the cost is
+  O(p).  Covers without t enter as a per-x factor 1 + chi(F_i(x)).
+- separable: the cover involving t is G(x) + H(t) with deg H >= 3.  The sum
+  is sum_w chi(w) (h_G * h_H)(w) over the value histograms of G and H, one
+  cyclic convolution of length p by FFT, O(p log p).
+- grid: every other shape.  The p x p grid of character values
+  chi(F(x, c)) is evaluated columnwise in chunks with numpy: the
+  t-coefficients of F are specialized to x once per prime, powers of c are
+  shared across the chunk, and a single modular reduction is applied per
+  chunk when the intermediate bound allows.  A cover that does not involve t
+  has the same values in every column, so numpy broadcasts one column.
+
+The grid also gives every finite fiber's trace (fiber_arrays), which
+`nagao verify` and the tests use as the oracle for trace_sum.
 """
 
 from __future__ import annotations
@@ -149,6 +161,138 @@ def singular_c_values(spec: FamilySpec, ctx: FieldCtx) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
+def _split_covers(polys: tuple[BivarPoly, ...], ctx: FieldCtx):
+    """(weight, varying) for covers of which at most one involves t.
+
+    weight[x] = prod over the covers without t of 1 + chi(F_i(x)); varying
+    holds the t-coefficients mod p (ascending-x tuples, indexed by t-degree)
+    of the cover with t, or is None when no cover involves t.
+    """
+    p = ctx.p
+    weight = np.ones(p, dtype=np.int64)
+    varying = None
+    for poly in polys:
+        t_coeffs = [fp_poly.trim(c % p for c in cs) for cs in poly.t_coeff_polys()]
+        if poly.deg_t > 0:
+            varying = t_coeffs
+        else:
+            weight *= 1 + _chi_at_all_x(t_coeffs[0], ctx)
+    return weight, varying
+
+
+def _closed_form_t2(polys: tuple[BivarPoly, ...], ctx: FieldCtx) -> int:
+    """sum_c N_affine(c) when at most one cover involves t, with t-degree <= 2.
+
+    Write that cover as a(x) c^2 + b(x) c + e(x) and D = b^2 - 4ae.  For each
+    x, sum_c chi(F) is -chi(a) if a != 0 and D != 0, (p - 1) chi(a) if a != 0
+    and D = 0, 0 if a = 0 and b != 0, and p chi(e) if a = b = 0.
+    """
+    p = ctx.p
+    weight, varying = _split_covers(polys, ctx)
+    inner = 0
+    if varying is not None:
+        chi = ctx.chi_table.astype(np.int64)
+        xs = np.arange(p, dtype=np.int64)
+        e, b, a = (_horner_vec(cs, xs, p) for cs in (varying + [(), ()])[:3])
+        d = (b * b - 4 * (a * e % p)) % p
+        inner = np.where(
+            a != 0, chi[a] * np.where(d == 0, p - 1, -1), np.where(b != 0, 0, p * chi[e])
+        )
+    return int((weight * (p + inner)).sum())
+
+
+def _separable(polys: tuple[BivarPoly, ...], ctx: FieldCtx) -> int:
+    """sum_c N_affine(c) when the cover with t is G(x) + H(t).
+
+    With h_G(u) the sum of weight[x] over G(x) = u, and h_H(v) = #{c : H(c) =
+    v}, the character sum is sum_w chi(w) (h_G * h_H)(w), a cyclic
+    convolution of length p.  Its entries are integers below 2p deg H, so an
+    FFT recovers them by rounding; a result that is not within 0.25 of an
+    integer raises.
+    """
+    from numpy import fft  # only families of this shape load it
+
+    p = ctx.p
+    weight, varying = _split_covers(polys, ctx)
+    xs = np.arange(p, dtype=np.int64)
+    h_coeffs = (0,) + tuple(cs[0] if cs else 0 for cs in varying[1:])
+    hist_g = np.bincount(_horner_vec(varying[0], xs, p), weights=weight, minlength=p)
+    hist_h = np.bincount(_horner_vec(h_coeffs, xs, p), minlength=p)
+    conv = fft.irfft(fft.rfft(hist_g) * fft.rfft(hist_h), n=p)
+    counts = np.rint(conv)
+    if np.abs(conv - counts).max() >= 0.25:
+        raise ArithmeticError(f"p = {p}: FFT convolution is not within 0.25 of an integer")
+    chi = ctx.chi_table.astype(np.int64)
+    return int(p * weight.sum() + chi @ counts.astype(np.int64))
+
+
+def _grid_total(polys: tuple[BivarPoly, ...], ctx: FieldCtx) -> int:
+    return int(_chi_grid_sums(polys, ctx).sum())
+
+
+# each maps (polys, ctx) to sum_c N_affine(c) over the finite c
+KERNELS = {"closed_form_t2": _closed_form_t2, "separable": _separable, "grid": _grid_total}
+
+
+def kernel_name(polys: tuple[BivarPoly, ...]) -> str:
+    """The KERNELS entry that sums these covers, from the shape of F over Z."""
+    varying = [poly for poly in polys if poly.deg_t > 0]
+    if len(varying) > 1:
+        return "grid"
+    if not varying or varying[0].deg_t <= 2:
+        return "closed_form_t2"
+    if all(i == 0 or j == 0 for i, j, _ in varying[0].terms):
+        return "separable"
+    return "grid"
+
+
+def _require_good(spec: FamilySpec, p: int) -> None:
+    if p in bad_primes(spec):
+        raise BadPrime(f"p = {p} lies in the bad set of {spec.name}")
+
+
+def _points_over_x_infinity(poly: BivarPoly, ctx: FieldCtx) -> np.ndarray:
+    """Points over x = infinity of y^2 = F(x, c) for every finite c, from the
+    generic x-degree: 1 when it is odd, 1 + chi(lead(c)) when it is even."""
+    if poly.deg_x % 2 == 1:
+        return np.ones(ctx.p, dtype=np.int64)
+    lead = fp_poly.trim(c % ctx.p for c in poly.leading_x_coeff())
+    return 1 + _chi_at_all_x(lead, ctx).astype(np.int64)
+
+
+def _refused(spec: FamilySpec, ctx: FieldCtx, sing_idx) -> list[UnsupportedFiber]:
+    """The singular fibers of a single cover whose trace component_count refuses."""
+    unsupported = []
+    for c in sing_idx:
+        try:
+            component_count(ctx, fiber_at(spec, ctx, int(c)))
+        except UnsupportedFiber as exc:
+            unsupported.append(exc)
+    return unsupported
+
+
+def trace_sum(spec: FamilySpec, ctx: FieldCtx) -> tuple[int, list[UnsupportedFiber]]:
+    """Sum of the fiber traces over P^1(F_p), and the fibers it refuses.
+
+    A multicover takes nu and m from its affine_plus rule and refuses no
+    fiber, so it skips the singular locus.  A single cover has m = 1 and its
+    points over x = infinity from the generic x-degree; its singular fibers
+    go through component_count to collect the refused ones.  The fiber over
+    t = infinity has trace 0, except in a constant family, whose fibers are
+    all the same curve.
+    """
+    p = ctx.p
+    _require_good(spec, p)
+    n_aff = KERNELS[kernel_name(spec.polys)](spec.polys, ctx)
+    if spec.kind == "multicover":
+        rule = spec.infinity_rule
+        return p * (1 + p * rule.m - rule.nu) - n_aff, []
+    total = p * (p + 1) - n_aff - int(_points_over_x_infinity(spec.polys[0], ctx).sum())
+    if spec.kind == "constant":
+        total += total // p
+    return total, _refused(spec, ctx, singular_c_values(spec, ctx))
+
+
 @dataclass
 class FiberArrays:
     """Traces of every finite fiber of one prime, plus singularity flags."""
@@ -160,40 +304,31 @@ class FiberArrays:
 
 
 def fiber_arrays(spec: FamilySpec, ctx: FieldCtx) -> FiberArrays:
-    """Traces a[c] = 1 + p*m - N for all finite c in one vectorized pass.
+    """Traces a[c] = 1 + p*m - N for all finite c from the grid.
 
-    A multicover takes nu and m from its affine_plus rule.  A single cover has
-    m = 1 and its points over x = infinity from the generic x-degree; the
-    fibers on the singular locus go through component_count only to collect
-    the ones it refuses, which are never guessed.
+    The same rules as trace_sum, fiber by fiber; the singular mask covers
+    multicovers too.
     """
     p = ctx.p
-    if p in bad_primes(spec):
-        raise BadPrime(f"p = {p} lies in the bad set of {spec.name}")
-
+    _require_good(spec, p)
     n_aff = affine_counts(spec, ctx)
     sing_idx = singular_c_values(spec, ctx)
     singular = np.zeros(p, dtype=bool)
     singular[sing_idx] = True
-
     if spec.kind == "multicover":
         rule = spec.infinity_rule
         return FiberArrays(p, 1 + p * rule.m - (n_aff + rule.nu), singular, [])
+    a = (p + 1) - (n_aff + _points_over_x_infinity(spec.polys[0], ctx))
+    return FiberArrays(p, a, singular, _refused(spec, ctx, sing_idx))
 
-    poly = spec.polys[0]
-    if poly.deg_x % 2 == 1:
-        inf = 1
-    else:
-        lead = fp_poly.trim(c % p for c in poly.leading_x_coeff())
-        inf = 1 + _chi_at_all_x(lead, ctx).astype(np.int64)
-    a = (p + 1) - (n_aff + inf)
-    unsupported = []
-    for c in sing_idx:
-        try:
-            component_count(ctx, fiber_at(spec, ctx, int(c)))
-        except UnsupportedFiber as exc:
-            unsupported.append(exc)
-    return FiberArrays(p, a, singular, unsupported)
+
+def grid_trace_sum(spec: FamilySpec, ctx: FieldCtx) -> tuple[int, list[UnsupportedFiber]]:
+    """trace_sum from the per-fiber traces of fiber_arrays: its O(p^2) oracle."""
+    arrays = fiber_arrays(spec, ctx)
+    total = int(arrays.a.sum())
+    if spec.kind == "constant":
+        total += int(arrays.a[0])  # the fiber over infinity is the same curve
+    return total, arrays.unsupported
 
 
 def univariate_curve_trace(ctx: FieldCtx, coeffs: tuple[int, ...]) -> int:

@@ -34,7 +34,14 @@ from .fiber_trace import (
     fiber_trace,
     weil_bound,
 )
-from .kernels import affine_counts, fiber_arrays, singular_c_values
+from .kernels import (
+    affine_counts,
+    fiber_arrays,
+    grid_trace_sum,
+    kernel_name,
+    singular_c_values,
+    trace_sum,
+)
 from .prime_field import make_field, primes_in_range
 from .shioda_tate import form5_diagnostic
 
@@ -190,8 +197,16 @@ def run_pipeline(spec: FamilySpec, config: RunConfig) -> RunResult:
                 f"current family hashes to {fam_hash}"
             )
 
+    good = good_primes(spec, 3, config.t_max)
+    good_set = set(good)
+    for i, e in enumerate(existing):
+        if e.p <= config.t_max and e.p not in good_set:
+            raise LedgerMismatch(
+                f"ledger at {ledger_path}: row {i + 1} has p = {e.p}, which is not "
+                f"a good prime of {spec.name}; it cannot be resumed"
+            )
     done = {e.p for e in existing}
-    todo = [p for p in good_primes(spec, 3, config.t_max) if p not in done]
+    todo = [p for p in good if p not in done]
 
     mode = "a" if (config.resume and existing) else "w"
     with ledger_path.open(mode, newline="") as fh:
@@ -238,6 +253,7 @@ def summary_dict(result: RunResult, checkpoints: list[int]) -> dict:
     out = {
         "family": result.spec.name,
         "family_hash": result.fam_hash,
+        "kernel": kernel_name(result.spec.polys),
         "T": final.T,
         "S_T": final.S_T,
         "nearest_integer": int(round(final.S_T)),
@@ -268,7 +284,8 @@ class VerifyCheck:
 
 
 def verify_family(spec: FamilySpec, p_max: int = 23) -> list[VerifyCheck]:
-    """Cross-check the counting kernel against enumeration for p <= p_max."""
+    """Cross-check the grid against enumeration, and trace_sum against the
+    grid, for every good p <= p_max."""
     checks: list[VerifyCheck] = []
     bad = bad_primes(spec)
     primes = [p for p in primes_in_range(3, p_max) if p not in bad]
@@ -327,4 +344,18 @@ def verify_family(spec: FamilySpec, p_max: int = 23) -> list[VerifyCheck]:
     checks.append(
         VerifyCheck(f"discriminant locus: resultant vs gcd (p <= {p_max})", ok, detail)
     )
+
+    ok = True
+    detail = ""
+    for p in primes:
+        ctx = make_field(p)
+        got, refused = trace_sum(spec, ctx)
+        got = (got, [u.c for u in refused])
+        want, refused = grid_trace_sum(spec, ctx)
+        want = (want, [u.c for u in refused])
+        if got != want:
+            ok = False
+            detail = f"p={p}: {kernel_name(spec.polys)} (sum, refused c) {got} != grid {want}"
+            break
+    checks.append(VerifyCheck(f"trace_sum: equals grid (p <= {p_max})", ok, detail))
     return checks

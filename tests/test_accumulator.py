@@ -147,7 +147,7 @@ def test_synthetic_cesaro_tracks_theta():
 
 def test_dirichlet_residue_values_and_domain():
     entries = synthetic_entries(-1, 1000)
-    for bad_s in (1.0, math.nan):
+    for bad_s in (1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             dirichlet_residue(entries, [bad_s], 1000)
     s = 1.25

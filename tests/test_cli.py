@@ -80,7 +80,8 @@ def test_verify_prints_one_line_per_check(family_file, capsys):
     rc = main(["verify", "--family", family_file("shioda_g1")])
     assert rc == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
-    assert len(lines) == 3
+    assert len(lines) == 4
+    assert lines[-1] == "trace_sum: equals grid (p <= 23): PASS"
     assert all(line.endswith("PASS") for line in lines)
 
 
@@ -198,12 +199,17 @@ def _den_neither_1_nor_p(lines):
     lines[4] = b",".join(fields)
 
 
+def _insert_p_9(lines):
+    lines.insert(4, lines[3].replace(b",7,", b",9,", 1))  # a copy of p = 7 as p = 9
+
+
 @pytest.mark.parametrize(
     "corrupt, where",
     [
         (_swap_header_columns, "header"),
         (_duplicate_row_3, "row 15"),
         (_den_neither_1_nor_p, "row 4"),
+        (_insert_p_9, "row 4 has p = 9"),
     ],
 )
 def test_resume_with_inconsistent_ledger_exits_2(tmp_path, family_file, capsys, corrupt, where):

@@ -1,13 +1,20 @@
 """Vectorized per-prime kernels against the scalar per-fiber path."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nagao import load_shipped_family, parse_family
-from nagao.accumulator import compute_entry
-from nagao.family_model import bad_primes, fiber_at
+import nagao
+from nagao import kernels, load_shipped_family, parse_family
+from nagao.accumulator import compute_entry, good_primes
+from nagao.family_model import BivarPoly, bad_primes, fiber_at
 from nagao.fiber_trace import (
     UnsupportedFiber,
     brute_force_affine,
@@ -16,9 +23,13 @@ from nagao.fiber_trace import (
     fiber_trace,
 )
 from nagao.kernels import (
+    KERNELS,
     affine_counts,
     fiber_arrays,
+    grid_trace_sum,
+    kernel_name,
     singular_c_values,
+    trace_sum,
     univariate_curve_trace,
 )
 from nagao.prime_field import make_field
@@ -37,6 +48,16 @@ infinity affine_plus 2 1
 """
 
 
+# the benchmark's t-degree-3 family, a separable G(x) + H(t)
+CUBIC_T = """\
+family "cubic_t"
+kind hyperelliptic
+poly x^3 - x + t^3
+genus 1
+trace none
+infinity trace_zero
+"""
+
 # genus-1 single covers whose fiber at c = 0 component_count refuses
 REFUSED_AT_0 = {
     "x_degree_drop": "t*x^3 + x^2 + 1",
@@ -47,6 +68,8 @@ REFUSED_AT_0 = {
 def load_family(name):
     if name == "multicover_ex2_swapped":
         return parse_family(SWAPPED_MULTICOVER)
+    if name == "cubic_t":
+        return parse_family(CUBIC_T)
     if name in REFUSED_AT_0:
         return parse_family(
             f'family "{name}"\nkind hyperelliptic\npoly {REFUSED_AT_0[name]}\n'
@@ -134,3 +157,151 @@ def test_univariate_curve_trace_matches_count():
         ctx = make_field(p)
         N = brute_force_affine(p, (tuple(c % p for c in curve),)) + 1
         assert univariate_curve_trace(ctx, curve) == p + 1 - N
+
+
+TRACE_SUM_FAMILIES = FAMILY_NAMES + ["cubic_t", "multicover_ex2_swapped"] + list(REFUSED_AT_0)
+
+
+@pytest.mark.parametrize("name", TRACE_SUM_FAMILIES)
+def test_trace_sum_equals_grid(name):
+    spec = load_family(name)
+    for p in good_primes(spec, 3, 2000) + [4999, 9973]:
+        ctx = make_field(p)
+        total, refused = trace_sum(spec, ctx)
+        want, want_refused = grid_trace_sum(spec, ctx)
+        assert total == want, f"p = {p}"
+        assert [(u.c, u.why) for u in refused] == [(u.c, u.why) for u in want_refused]
+
+
+@pytest.mark.parametrize(
+    "name, kernel",
+    [
+        ("constant_E", "closed_form_t2"),
+        ("shioda_g1", "closed_form_t2"),
+        ("shioda_g2", "closed_form_t2"),
+        ("multicover_ex2", "closed_form_t2"),
+        ("multicover_ex2_swapped", "closed_form_t2"),
+        ("cubic_t", "separable"),
+    ],
+)
+def test_kernel_name_of_test_families(name, kernel):
+    assert kernel_name(load_family(name).polys) == kernel
+
+
+def test_non_separable_t_degree_3_selects_grid():
+    spec = parse_family(
+        'family "mixed_t3"\nkind hyperelliptic\npoly x^3 + t^3*x + t + 1\n'
+        "genus 1\ntrace none\ninfinity trace_zero\n"
+    )
+    assert kernel_name(spec.polys) == "grid"
+    for p in good_small_primes(spec):
+        ctx = make_field(p)
+        assert trace_sum(spec, ctx)[0] == grid_trace_sum(spec, ctx)[0]
+
+
+def test_two_covers_with_t_select_grid():
+    polys = (
+        BivarPoly.from_dict({(3, 0): 1, (0, 1): 1}),  # x^3 + t
+        BivarPoly.from_dict({(3, 0): 1, (1, 1): 1}),  # x^3 + t*x
+    )
+    assert kernel_name(polys) == "grid"
+
+
+SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+small_coeff = st.integers(-9, 9)
+nonzero_coeff = small_coeff.filter(bool)
+
+
+def brute_force_total(polys, p):
+    """sum over every finite c of the affine count, by enumeration."""
+    return sum(
+        brute_force_affine(p, tuple(poly.specialize_t(c, p) for poly in polys))
+        for c in range(p)
+    )
+
+
+@st.composite
+def t_free_cover(draw):
+    deg_x = draw(st.integers(1, 4))
+    coeffs = {(i, 0): draw(small_coeff) for i in range(deg_x)}
+    coeffs[(deg_x, 0)] = draw(nonzero_coeff)
+    return BivarPoly.from_dict(coeffs)
+
+
+@st.composite
+def t2_cover(draw, parity):
+    """A cover of t-degree <= 2 whose leading x-coefficient involves t."""
+    deg_x = 2 * draw(st.integers(0 if parity else 1, 2)) + parity
+    coeffs = {(i, j): draw(small_coeff) for i in range(deg_x + 1) for j in range(3)}
+    coeffs[(deg_x, draw(st.integers(1, 2)))] = draw(nonzero_coeff)
+    return BivarPoly.from_dict(coeffs)
+
+
+@st.composite
+def separable_cover(draw):
+    """G(x) + H(t) with deg H in {3, 4, 5}."""
+    deg_g = draw(st.integers(1, 5))
+    deg_h = draw(st.sampled_from([3, 4, 5]))
+    coeffs = {(i, 0): draw(small_coeff) for i in range(deg_g)}
+    coeffs[(deg_g, 0)] = draw(nonzero_coeff)
+    coeffs.update({(0, j): draw(small_coeff) for j in range(1, deg_h)})
+    coeffs[(0, deg_h)] = draw(nonzero_coeff)
+    return BivarPoly.from_dict(coeffs)
+
+
+def assert_kernel_counts(kernel, polys, p):
+    assert kernel_name(polys) == kernel
+    assert KERNELS[kernel](polys, make_field(p)) == brute_force_total(polys, p)
+
+
+@pytest.mark.parametrize("parity", [1, 0])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), p=st.sampled_from(SMALL_PRIMES))
+def test_closed_form_t2_matches_enumeration(parity, data, p):
+    assert_kernel_counts("closed_form_t2", (data.draw(t2_cover(parity)),), p)
+
+
+@pytest.mark.parametrize("parity", [1, 0])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), p=st.sampled_from(SMALL_PRIMES))
+def test_closed_form_t2_with_t_free_cover_matches_enumeration(parity, data, p):
+    polys = (data.draw(t_free_cover()), data.draw(t2_cover(parity)))
+    assert_kernel_counts("closed_form_t2", polys, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cover=separable_cover(), free=st.none() | t_free_cover(), p=st.sampled_from(SMALL_PRIMES))
+def test_separable_matches_enumeration(cover, free, p):
+    polys = (cover,) if free is None else (free, cover)
+    assert_kernel_counts("separable", polys, p)
+
+
+def test_numpy_fft_loads_only_for_separable_families():
+    code = (
+        "import sys\n"
+        "from nagao import load_shipped_family, parse_family\n"
+        "from nagao.accumulator import average_trace\n"
+        "from nagao.prime_field import make_field\n"
+        "for name in ('constant_E', 'shioda_g1', 'shioda_g2', 'multicover_ex2'):\n"
+        "    average_trace(load_shipped_family(name), make_field(101))\n"
+        "assert 'numpy.fft' not in sys.modules\n"
+        f"average_trace(parse_family({CUBIC_T!r}), make_field(101))\n"
+        "assert 'numpy.fft' in sys.modules\n"
+    )
+    src = str(Path(nagao.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name", ["shioda_g1", "multicover_ex2", "cubic_t"])
+def test_run_path_uses_no_grid_and_multicover_no_singular_locus(monkeypatch, name):
+    def called(*args):
+        raise AssertionError("reached from the run path")
+
+    for attr in ("fiber_arrays", "_chi_grid_sums"):
+        monkeypatch.setattr(kernels, attr, called)
+    spec = load_family(name)
+    if spec.kind == "multicover":
+        monkeypatch.setattr(kernels, "singular_c_values", called)
+    assert not compute_entry(spec, 101).skipped

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nagao import load_shipped_family, runner
+from nagao import load_shipped_family, parse_family, runner
 from nagao.accumulator import SeriesEntry, family_hash
 from nagao.fiber_trace import brute_force_affine
 from nagao.runner import (
@@ -134,6 +134,7 @@ def test_summary_dict_contents(tmp_path):
     assert summary["n_primes"] + summary["n_skipped"] == len(result.series.entries)
     assert summary["nearest_integer"] == round(summary["S_T"])
     assert "form5_diagnostic" in summary  # the shipped file declares its fibers
+    assert summary["kernel"] == "closed_form_t2"
 
 
 def test_brute_force_affine_known_values():
@@ -146,7 +147,7 @@ def test_brute_force_affine_known_values():
 )
 def test_verify_family_all_checks_pass(name):
     checks = verify_family(load_shipped_family(name), p_max=13)
-    assert len(checks) == 3
+    assert len(checks) == 4
     for check in checks:
         assert check.passed, f"{name}: {check.name}: {check.detail}"
 
@@ -171,3 +172,40 @@ def test_verify_family_checks_the_run_trace_path(monkeypatch):
     assert checks[1].name.startswith("fiber_arrays")
     assert not checks[1].passed
     assert "fiber_arrays" in checks[1].detail
+
+
+def test_verify_family_checks_trace_sum(monkeypatch):
+    kernel = runner.trace_sum
+
+    def off_by_one(spec, ctx):
+        total, refused = kernel(spec, ctx)
+        return total + 1, refused
+
+    monkeypatch.setattr(runner, "trace_sum", off_by_one)
+    checks = verify_family(load_shipped_family("multicover_ex2"), p_max=7)
+    assert checks[3].name == "trace_sum: equals grid (p <= 7)"
+    assert not checks[3].passed
+    assert "closed_form_t2" in checks[3].detail
+    assert all(check.passed for check in checks[:3])
+
+
+def test_verify_family_checks_trace_sum_refusals(monkeypatch):
+    kernel = runner.trace_sum
+    monkeypatch.setattr(runner, "trace_sum", lambda spec, ctx: (kernel(spec, ctx)[0], []))
+    spec = parse_family(
+        'family "x_degree_drop"\nkind hyperelliptic\npoly t*x^3 + x^2 + 1\n'
+        "genus 1\ntrace none\ninfinity trace_zero\n"
+    )
+    checks = verify_family(spec, p_max=7)
+    assert not checks[3].passed
+    assert "[0]" in checks[3].detail
+
+
+def test_summary_and_verify_name_the_separable_kernel(tmp_path):
+    spec = parse_family(
+        'family "cubic_t"\nkind hyperelliptic\npoly x^3 - x + t^3\n'
+        "genus 1\ntrace none\ninfinity trace_zero\n"
+    )
+    result = run_pipeline(spec, make_config(tmp_path, "cubic_t", t_max=50))
+    assert summary_dict(result, [50])["kernel"] == "separable"
+    assert all(check.passed for check in verify_family(spec, p_max=13))
