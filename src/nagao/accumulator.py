@@ -153,6 +153,16 @@ class SeriesPoint:
     n_skipped: int
 
 
+def check_checkpoints(checkpoints: list[int]) -> None:
+    """Raise ValueError unless the T_i grid is non-empty, ascending and >= 3."""
+    if not checkpoints:
+        raise ValueError("checkpoints must not be empty")
+    if sorted(checkpoints) != list(checkpoints):
+        raise ValueError("checkpoints must be ascending")
+    if checkpoints[0] < 3:
+        raise ValueError("checkpoints must be >= 3")
+
+
 def cesaro_series(entries: list[SeriesEntry], checkpoints: list[int]) -> list[SeriesPoint]:
     """S(T_i) = (1/T_i) * sum_{p <= T_i, not skipped} -A*_p log p.
 
@@ -160,10 +170,7 @@ def cesaro_series(entries: list[SeriesEntry], checkpoints: list[int]) -> list[Se
     entries are consumed in ascending p, floats enter only at the final
     multiply-by-log step.
     """
-    if any(t < 3 for t in checkpoints):
-        raise ValueError("checkpoints must be >= 3")
-    if sorted(checkpoints) != list(checkpoints):
-        raise ValueError("checkpoints must be ascending")
+    check_checkpoints(checkpoints)
     out: list[SeriesPoint] = []
     acc = 0.0
     used = 0

@@ -1,13 +1,15 @@
 """Curve fibrations over P^1_Q: parsing, validation, reduction mod p.
 
 A family is given by one polynomial y^2 = F(x, t) (hyperelliptic or constant)
-or a pair y^2 = F1(x, t), z^2 = F2(x, t) (multicover).  The module owns the
+or a pair y^2 = F1(x, t), z^2 = F2(x, t) (multicover), each written in Python's
+expression grammar with ^ for powers (see parse_poly).  The module owns the
 family file format, the bad-prime set over which all averaging is skipped,
 and the specialization of the family to a fiber over c in P^1(F_p).
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 import re
@@ -176,111 +178,59 @@ def _dense(by_deg: dict[int, int]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Expression parser: integers, x, t, + - * ^, parentheses, unary minus
+# Expression parser: Python's own, on a whitelist of nodes
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([xt])|(\^)|(\*)|([+-])|([()])|(.))")
-
-
-def _tokenize(text: str, line: int) -> list[tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        col = m.start(m.lastindex) + 1
-        tok = m.group(m.lastindex)
-        kind = {1: "int", 2: "var", 3: "pow", 4: "mul", 5: "addop", 6: "paren"}.get(
-            m.lastindex
-        )
-        if kind is None:
-            raise ParseError(f"unexpected character {tok!r}", line, col)
-        tokens.append((kind, tok, col))
-    tokens.append(("end", "", len(text) + 1))
-    return tokens
-
-
-class _ExprParser:
-    """Recursive descent: ^ binds tightest, then *, then + and -."""
-
-    def __init__(self, text: str, line: int = 0):
-        self.tokens = _tokenize(text, line)
-        self.pos = 0
-        self.line = line
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, msg: str):
-        _, tok, col = self.peek()
-        raise ParseError(f"{msg} (found {tok!r})", self.line, col)
-
-    def parse(self) -> BivarPoly:
-        expr = self.sum()
-        if self.peek()[0] != "end":
-            self.fail("trailing input")
-        return expr
-
-    def sum(self) -> BivarPoly:
-        sign = 1
-        while self.peek()[0] == "addop":
-            if self.take()[1] == "-":
-                sign = -sign
-        acc = self.product()
-        if sign < 0:
-            acc = -acc
-        while self.peek()[0] == "addop":
-            op = self.take()[1]
-            term = self.product()
-            acc = acc + term if op == "+" else acc - term
-        return acc
-
-    def product(self) -> BivarPoly:
-        acc = self.power()
-        while self.peek()[0] == "mul":
-            self.take()
-            acc = acc * self.power()
-        return acc
-
-    def power(self) -> BivarPoly:
-        base = self.atom()
-        if self.peek()[0] == "pow":
-            self.take()
-            kind, tok, _ = self.peek()
-            if kind != "int":
-                self.fail("exponent must be an integer literal")
-            self.take()
-            return base ** int(tok)
-        return base
-
-    def atom(self) -> BivarPoly:
-        kind, tok, _ = self.peek()
-        if kind == "int":
-            self.take()
-            return BivarPoly.from_dict({(0, 0): int(tok)})
-        if kind == "var":
-            self.take()
-            key = (1, 0) if tok == "x" else (0, 1)
-            return BivarPoly.from_dict({key: 1})
-        if kind == "addop" and tok == "-":
-            self.take()
-            return -self.atom()
-        if kind == "paren" and tok == "(":
-            self.take()
-            inner = self.sum()
-            kind, tok, _ = self.peek()
-            if tok != ")":
-                self.fail("expected ')'")
-            self.take()
-            return inner
-        self.fail("expected a term")
+_OPS = {ast.Add: BivarPoly.__add__, ast.Sub: BivarPoly.__sub__, ast.Mult: BivarPoly.__mul__,
+        ast.USub: BivarPoly.__neg__, ast.UAdd: lambda f: f}
+_VARS = {"x": BivarPoly(((1, 0, 1),)), "t": BivarPoly(((0, 1, 1),))}
+# whitespace and a literal's leading zeros (Python rejects them) become spaces
+_BLANKS_RE = re.compile(r"\s|\b0+(?=\d)")
 
 
 def parse_poly(text: str, line: int = 0) -> BivarPoly:
-    """Parse an integer polynomial expression in x and t."""
-    return _ExprParser(text, line).parse()
+    """Parse an integer polynomial in x and t: decimal integers, x, t, ( ),
+    binary + - *, unary - and +, and ^ with a decimal integer exponent.
+
+    ^ is read as ** and precedence is Python's, so ^ binds tighter than unary
+    minus: x + -t^2 is x - t^2.  The ast.parse tree is folded leaves first,
+    without recursion; any node outside this grammar raises ParseError.
+    """
+    for bad in ("**", "#", "\0"):
+        if bad in text:
+            raise ParseError(f"unexpected {bad!r}", line, text.index(bad) + 1)
+    src = _BLANKS_RE.sub(lambda m: " " * len(m[0]), text).replace("^", "**")
+    lead = len(src) - len(src := src.lstrip())  # eval mode rejects an indent
+    raw = src.encode()
+
+    def col(offset: int) -> int:  # 1-based column in text, undoing ^ -> **
+        return lead + offset - src.count("**", 0, offset) + 1
+
+    try:
+        body = ast.parse(src, mode="eval").body
+    except SyntaxError as exc:
+        raise ParseError(f"invalid expression ({exc.msg})", line, col((exc.offset or 1) - 1))
+    except (RecursionError, MemoryError):
+        raise ParseError("expression nested too deeply", line)
+    value: dict[ast.expr, BivarPoly] = {}
+    for node in reversed(list(ast.walk(body))):  # every child before its parent
+        if not isinstance(node, ast.expr):
+            continue  # an operator or context, judged with its parent
+        op = type(getattr(node, "op", None))
+        if isinstance(node, ast.BinOp) and op in _OPS:
+            value[node] = _OPS[op](value[node.left], value[node.right])
+        elif isinstance(node, ast.BinOp) and op is ast.Pow and isinstance(node.right, ast.Constant):
+            value[node] = value[node.left] ** node.right.value  # the leaf test below passed it
+        elif isinstance(node, ast.UnaryOp) and op in _OPS:
+            value[node] = _OPS[op](value[node.operand])
+        elif isinstance(node, ast.Constant) and raw[node.col_offset:node.end_col_offset].isdigit():
+            value[node] = BivarPoly.from_dict({(0, 0): node.value})
+        elif isinstance(node, ast.Name) and node.id in _VARS:
+            value[node] = _VARS[node.id]
+        else:
+            what = ast.get_source_segment(src, node).replace("**", "^")
+            raise ParseError(f"unsupported term {what!r}", line, col(node.col_offset))
+    return value[body]
 
 
 # ---------------------------------------------------------------------------

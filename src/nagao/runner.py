@@ -21,6 +21,7 @@ from .accumulator import (
     NagaoSeries,
     SeriesEntry,
     cesaro_series,
+    check_checkpoints,
     dirichlet_residue,
     family_hash,
     good_primes,
@@ -51,7 +52,8 @@ RESIDUE_FIELDS = ["s", "estimate", "T"]
 
 
 class LedgerMismatch(Exception):
-    """Existing ledger cannot be resumed: another family's, or a malformed row."""
+    """Existing ledger cannot be resumed: another family's, a malformed row,
+    or a p column that is not the family's good primes in order."""
 
 
 @dataclass
@@ -70,14 +72,14 @@ class RunConfig:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.checkpoints is not None:
-            if sorted(self.checkpoints) != self.checkpoints:
-                raise ValueError("checkpoints must be ascending")
-            if any(t < 3 for t in self.checkpoints):
-                raise ValueError("checkpoints must be >= 3")
-            if self.checkpoints and self.checkpoints[-1] > self.t_max:
+            check_checkpoints(self.checkpoints)
+            if self.checkpoints[-1] > self.t_max:
                 raise ValueError("checkpoints must not exceed tmax")
-        if self.s_list is not None and not all(1 < s < math.inf for s in self.s_list):
-            raise ValueError("every s must exceed 1 and be finite")
+        if self.s_list is not None:
+            if not self.s_list:
+                raise ValueError("the s list must not be empty")
+            if not all(1 < s < math.inf for s in self.s_list):
+                raise ValueError("every s must exceed 1 and be finite")
 
 
 def default_checkpoints(t_max: int, n: int = 12) -> list[int]:
@@ -197,16 +199,16 @@ def run_pipeline(spec: FamilySpec, config: RunConfig) -> RunResult:
                 f"current family hashes to {fam_hash}"
             )
 
-    good = good_primes(spec, 3, config.t_max)
-    good_set = set(good)
+    # the ledger must hold the good primes in order, none missing, up to its last row
+    good = good_primes(spec, 3, max(config.t_max, existing[-1].p if existing else 0))
     for i, e in enumerate(existing):
-        if e.p <= config.t_max and e.p not in good_set:
+        if i == len(good) or e.p != good[i]:
+            want = f"good prime {good[i]}" if i < len(good) else "no good prime"
             raise LedgerMismatch(
-                f"ledger at {ledger_path}: row {i + 1} has p = {e.p}, which is not "
-                f"a good prime of {spec.name}; it cannot be resumed"
+                f"ledger at {ledger_path}: row {i + 1} has p = {e.p} where {spec.name} "
+                f"has {want}; it cannot be resumed"
             )
-    done = {e.p for e in existing}
-    todo = [p for p in good if p not in done]
+    todo = good[len(existing):]
 
     mode = "a" if (config.resume and existing) else "w"
     with ledger_path.open(mode, newline="") as fh:
@@ -220,7 +222,7 @@ def run_pipeline(spec: FamilySpec, config: RunConfig) -> RunResult:
             new_entries.append(entry)
 
     series = NagaoSeries(fam_hash)
-    for entry in sorted(existing + new_entries, key=lambda e: e.p):
+    for entry in existing + new_entries:
         if entry.p <= config.t_max:
             series.append(entry)
     skipped = [e for e in series.entries if e.skipped]

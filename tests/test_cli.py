@@ -157,6 +157,36 @@ def test_bad_checkpoints_exit_1(tmp_path, family_file):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command, flag", [("run", "--checkpoints"), ("residue", "--s-list")])
+def test_empty_list_exits_1(tmp_path, family_file, capsys, command, flag):
+    out = tmp_path / "o"
+    rc = main([
+        command, "--family", family_file("shioda_g1"),
+        "--tmax", "50", "--out", str(out), flag, ",",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must not be empty" in err
+    assert not out.exists()
+
+
+def test_deeply_nested_poly_exits_1(tmp_path, family_file):
+    fam = Path(family_file("shioda_g1"))
+    text = fam.read_text()
+    deep = "(" * 1200 + "x^3 - x + t^2" + ")" * 1200
+    fam.write_text(text.replace("poly x^3 - x + t^2", f"poly {deep}"))
+    src = str(Path(nagao.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nagao.cli", "run", "--family", str(fam), "--tmax", "50",
+         "--out", str(tmp_path / "o")],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_resume_against_foreign_ledger_exits_2(tmp_path, family_file, capsys):
     out = tmp_path / "out"
     assert main([
@@ -203,6 +233,11 @@ def _insert_p_9(lines):
     lines.insert(4, lines[3].replace(b",7,", b",9,", 1))  # a copy of p = 7 as p = 9
 
 
+def _delete_p_5(lines):
+    assert lines[2].split(b",")[1] == b"5"
+    del lines[2]
+
+
 @pytest.mark.parametrize(
     "corrupt, where",
     [
@@ -210,6 +245,7 @@ def _insert_p_9(lines):
         (_duplicate_row_3, "row 15"),
         (_den_neither_1_nor_p, "row 4"),
         (_insert_p_9, "row 4 has p = 9"),
+        (_delete_p_5, "row 2 has p = 7 where shioda_g1 has good prime 5"),
     ],
 )
 def test_resume_with_inconsistent_ledger_exits_2(tmp_path, family_file, capsys, corrupt, where):
@@ -224,6 +260,7 @@ def test_resume_with_inconsistent_ledger_exits_2(tmp_path, family_file, capsys, 
     assert rc == 2
     err = capsys.readouterr().err
     assert where in err and "Traceback" not in err
+    assert ledger.read_bytes() == b"".join(lines)
 
 
 def test_resume_series_bitwise_identical(tmp_path, family_file):

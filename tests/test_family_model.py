@@ -85,6 +85,8 @@ def test_parse_poly_basic():
     p = parse_poly("x^3 - x + t^2")
     assert p.as_dict() == {(3, 0): 1, (1, 0): -1, (0, 2): 1}
     assert p.deg_x == 3 and p.deg_t == 2
+    # zero-padded literals, which Python itself rejects
+    assert parse_poly("05*x + t^02").as_dict() == {(1, 0): 5, (0, 2): 1}
 
 
 def test_parse_poly_products_and_parens():
@@ -100,6 +102,10 @@ def test_parse_poly_unary_minus_and_precedence():
     # ^ binds tighter than *, * tighter than +
     assert parse_poly("2*x^2 + 3").as_dict() == {(2, 0): 2, (0, 0): 3}
     assert parse_poly("0").is_zero()
+    # ^ binds tighter than a unary minus after a binary operator too
+    assert parse_poly("x + -t^2").as_dict() == {(1, 0): 1, (0, 2): -1}
+    assert parse_poly("x*-t^2").as_dict() == {(1, 2): -1}
+    assert parse_poly("x - -t^2").as_dict() == {(1, 0): 1, (0, 2): 1}
 
 
 def test_parse_poly_errors_carry_position():
@@ -117,6 +123,107 @@ def test_parse_poly_errors_carry_position():
     except ParseError as exc:
         err = exc
     assert err is not None and err.line == 7 and err.col is not None
+
+
+def _mono(i: int, j: int, c: int = 1) -> BivarPoly:
+    return BivarPoly.from_dict({(i, j): c})
+
+
+@st.composite
+def poly_texts(draw, depth: int = 2) -> tuple[str, BivarPoly]:
+    """An expression text with its value, drawn from the grammar layered as
+    sum > product > unary minus > power > atom, with random spaces."""
+
+    def sp() -> str:
+        return " " * draw(st.integers(0, 2))
+
+    def atom(d):
+        kind = draw(st.sampled_from(["int", "x", "t", "()"] if d else ["int", "x", "t"]))
+        if kind == "int":
+            n = draw(st.integers(0, 99))
+            return "0" * draw(st.integers(0, 2)) + str(n), _mono(0, 0, n)
+        if kind == "()":
+            text, value = expr(d - 1)
+            return f"({sp()}{text}{sp()})", value
+        return kind, _mono(1, 0) if kind == "x" else _mono(0, 1)
+
+    def power(d):
+        text, value = atom(d)
+        if draw(st.booleans()):
+            k = draw(st.integers(0, 4))
+            text, value = f"{text}{sp()}^{sp()}{'0' * draw(st.integers(0, 1))}{k}", value**k
+        return text, value
+
+    def factor(d):
+        text, value = power(d)
+        for _ in range(draw(st.integers(0, 2))):  # unary minus binds looser than ^
+            text, value = f"-{sp()}{text}", -value
+        return text, value
+
+    def product(d):
+        text, value = factor(d)
+        for _ in range(draw(st.integers(0, 2))):
+            rhs, v = factor(d)
+            text, value = f"{text}{sp()}*{sp()}{rhs}", value * v
+        return text, value
+
+    def expr(d):
+        text, value = product(d)
+        for _ in range(draw(st.integers(0, 3))):
+            op = draw(st.sampled_from("+-"))
+            rhs, v = product(d)
+            text, value = f"{text}{sp()}{op}{sp()}{rhs}", value + v if op == "+" else value - v
+        return text, value
+
+    text, value = expr(depth)
+    return f"{sp()}{text}{sp()}", value
+
+
+@settings(max_examples=300)
+@given(poly_texts())
+def test_parse_poly_matches_grammar(case):
+    text, value = case
+    assert parse_poly(text) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x**2", "0x10", "1_0", "1e3", "2^3^2", "x^-1", "x^t", "x/2", "x%2", "x|t",
+     "f(x)", "y", "2x", "x t", "", "x # 2", "x\0"],
+)
+def test_parse_poly_rejects(text):
+    with pytest.raises(ParseError):
+        parse_poly(text)
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="xty0123456789+-*/()_.#j \t", max_size=16))
+def test_parse_poly_raises_only_parse_error(text):
+    try:
+        parse_poly(text)
+    except ParseError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("(" * 1200 + "x" + ")" * 1200, _mono(1, 0)),
+        ("+".join(["x"] * 5000), _mono(1, 0, 5000)),
+        ("-" * 3000 + "x", _mono(1, 0)),
+    ],
+    ids=["1200 parentheses", "5000 terms", "3000 unary minuses"],
+)
+def test_parse_poly_huge_input_parses_or_raises_parse_error(text, value):
+    try:
+        got = parse_poly(text)
+    except ParseError:
+        return
+    assert got == value
+
+
+def test_parse_poly_long_sum():
+    assert parse_poly("+".join(["x"] * 1000)) == _mono(1, 0, 1000)
 
 
 def test_specialize_t():

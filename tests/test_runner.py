@@ -44,6 +44,10 @@ def test_run_config_validation():
         RunConfig("f", 100, "o", checkpoints=[50, 10]).validate()
     with pytest.raises(ValueError):
         RunConfig("f", 100, "o", checkpoints=[10, 200]).validate()
+    with pytest.raises(ValueError, match="checkpoints must not be empty"):
+        RunConfig("f", 100, "o", checkpoints=[]).validate()
+    with pytest.raises(ValueError, match="s list must not be empty"):
+        RunConfig("f", 100, "o", s_list=[]).validate()
     for bad_s in (1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="every s must exceed 1"):
             RunConfig("f", 100, "o", s_list=[1.5, bad_s]).validate()
