@@ -10,10 +10,14 @@ rank of the varying part, and the truncated Dirichlet residue
 
 A*_p is kept as an exact Fraction everywhere; floats appear only in the
 final log-weighted reduction, accumulated in fixed ascending-p order.
+
+The estimators read only the ledger, so this module loads the numpy-backed
+kernels only when a prime's trace is to be computed.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -26,7 +30,6 @@ from .family_model import (
     trace_curve_discriminants,
 )
 from .fiber_trace import UnsupportedFiber
-from .kernels import trace_sum, univariate_curve_trace
 from .prime_field import FieldCtx, make_field, primes_in_range
 
 
@@ -46,6 +49,14 @@ class SeriesEntry:
     A_star: Fraction | None
     skipped: bool = False
     reason: str = ""
+
+    @functools.cached_property
+    def weight(self) -> float:
+        """-A*_p log p, the term of every estimator; a used entry only.
+
+        Integer true division is correctly rounded, so this is
+        float(-A_star) * math.log(p) to the last bit."""
+        return -(self.A_star.numerator / self.A_star.denominator) * math.log(self.p)
 
 
 @dataclass
@@ -68,6 +79,8 @@ def family_hash(spec: FamilySpec) -> str:
 
 def trace_correction(spec: FamilySpec, ctx: FieldCtx) -> int:
     """a_p(B) = sum of the traces of the declared trace curves; 0 if trivial."""
+    from .kernels import univariate_curve_trace
+
     total = 0
     for curve, disc in zip(spec.trace.curves, trace_curve_discriminants(spec)):
         if disc % ctx.p == 0 or curve[-1] % ctx.p == 0:
@@ -80,6 +93,8 @@ def average_trace(spec: FamilySpec, ctx: FieldCtx) -> Fraction:
     """A_p = (1/p) * sum over c in P^1(F_p) of the fiber trace at c.
 
     Raises the first UnsupportedFiber when a fiber's trace is refused."""
+    from .kernels import trace_sum
+
     total, unsupported = trace_sum(spec, ctx)
     if unsupported:
         raise unsupported[0]
@@ -128,6 +143,10 @@ def compute_series(spec: FamilySpec, t_max: int, jobs: int = 1) -> NagaoSeries:
 
 def iter_entries(spec: FamilySpec, primes: list[int], jobs: int = 1):
     """Yield entries in ascending-p order, optionally fanning out to workers."""
+    if not primes:
+        return
+    from . import kernels  # noqa: F401 -- loads numpy once, before the pool forks
+
     if jobs <= 1 or len(primes) < 4:
         for p in primes:
             yield compute_entry(spec, p)
@@ -182,7 +201,7 @@ def cesaro_series(entries: list[SeriesEntry], checkpoints: list[int]) -> list[Se
             if e.skipped:
                 skipped += 1
             else:
-                acc += float(-e.A_star) * math.log(e.p)
+                acc += e.weight
                 used += 1
             idx += 1
         out.append(SeriesPoint(t, acc / t, used, skipped))
@@ -196,15 +215,17 @@ def dirichlet_residue(
     for s in s_list:
         if not 1 < s < math.inf:  # also catches NaN
             raise DomainError(f"s must exceed 1 and be finite, got {s}")
+    terms = []
+    for e in entries:
+        if e.p > T:
+            break
+        if not e.skipped:
+            terms.append((e.p, e.weight))
     out = []
     for s in s_list:
         acc = 0.0
-        for e in entries:
-            if e.p > T:
-                break
-            if e.skipped:
-                continue
-            acc += float(-e.A_star) * math.log(e.p) / e.p**s
+        for p, w in terms:
+            acc += w / p**s
         out.append((s, (s - 1) * acc))
     return out
 

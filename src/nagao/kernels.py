@@ -37,6 +37,7 @@ from .family_model import (
     FamilySpec,
     bad_primes,
     fiber_at,
+    kernel_name,
     singular_locus_polys,
 )
 from .fiber_trace import UnsupportedFiber, component_count
@@ -232,18 +233,6 @@ def _grid_total(polys: tuple[BivarPoly, ...], ctx: FieldCtx) -> int:
 
 # each maps (polys, ctx) to sum_c N_affine(c) over the finite c
 KERNELS = {"closed_form_t2": _closed_form_t2, "separable": _separable, "grid": _grid_total}
-
-
-def kernel_name(polys: tuple[BivarPoly, ...]) -> str:
-    """The KERNELS entry that sums these covers, from the shape of F over Z."""
-    varying = [poly for poly in polys if poly.deg_t > 0]
-    if len(varying) > 1:
-        return "grid"
-    if not varying or varying[0].deg_t <= 2:
-        return "closed_form_t2"
-    if all(i == 0 or j == 0 for i, j, _ in varying[0].terms):
-        return "separable"
-    return "grid"
 
 
 def _require_good(spec: FamilySpec, p: int) -> None:

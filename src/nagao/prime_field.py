@@ -7,10 +7,13 @@ batched table lookups.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class NotPrime(ValueError):
@@ -72,6 +75,8 @@ def make_field(p: int) -> FieldCtx:
         raise EvenOrSmall(f"p must be an odd prime >= 3, got {p}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    import numpy as np  # only point counts need it; ledger-only commands never load it
+
     a = np.arange(p, dtype=np.int64)
     squares = (a * a) % p
     table = np.full(p, -1, dtype=np.int8)
@@ -82,27 +87,13 @@ def make_field(p: int) -> FieldCtx:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi], ascending, via a segmented sieve."""
+    """All primes in [lo, hi], ascending, by a sieve of Eratosthenes up to hi."""
     if lo > hi:
         raise BadRange(f"empty range [{lo}, {hi}]")
     if lo < 2:
         raise BadRange(f"lo must be >= 2, got {lo}")
-    if hi < 2:
-        return []
-    # Base primes up to sqrt(hi) by a plain sieve.
-    root = math.isqrt(hi)
-    base = np.ones(root + 1, dtype=bool)
-    base[:2] = False
-    for q in range(2, math.isqrt(root) + 1):
-        if base[q]:
-            base[q * q :: q] = False
-    base_primes = np.flatnonzero(base)
-
-    seg = np.ones(hi - lo + 1, dtype=bool)
-    for q in base_primes:
-        q = int(q)
-        start = max(q * q, ((lo + q - 1) // q) * q)
-        if start > hi:
-            continue
-        seg[start - lo :: q] = False
-    return (np.flatnonzero(seg) + lo).tolist()
+    sieve = bytearray([1]) * (hi + 1)
+    for q in range(2, math.isqrt(hi) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes((hi - q * q) // q + 1)
+    return list(itertools.compress(range(lo, hi + 1), sieve[lo:]))

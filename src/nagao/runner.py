@@ -4,6 +4,8 @@ Outputs are plain CSV plus a JSON summary.  The per-prime ledger is the unit
 of persistence: series and residue files are pure functions of it, so a
 resumed run reproduces a fresh run bit for bit.  Partial outputs are written
 atomically (write-then-rename); only the append-only ledger is streamed.
+Reading a complete ledger and the estimators load no numpy; the kernels come
+in with the first prime to compute, or with verify.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from pathlib import Path
 from .accumulator import (
     NagaoSeries,
     SeriesEntry,
+    SeriesPoint,
     cesaro_series,
     check_checkpoints,
     dirichlet_residue,
@@ -27,21 +30,13 @@ from .accumulator import (
     good_primes,
     iter_entries,
 )
-from .family_model import FamilySpec, bad_primes, fiber_at
+from .family_model import FamilySpec, bad_primes, fiber_at, kernel_name
 from .fiber_trace import (
     UnsupportedFiber,
     brute_force_affine,
     discriminant_locus,
     fiber_trace,
     weil_bound,
-)
-from .kernels import (
-    affine_counts,
-    fiber_arrays,
-    grid_trace_sum,
-    kernel_name,
-    singular_c_values,
-    trace_sum,
 )
 from .prime_field import make_field, primes_in_range
 from .shioda_tate import form5_diagnostic
@@ -53,7 +48,8 @@ RESIDUE_FIELDS = ["s", "estimate", "T"]
 
 class LedgerMismatch(Exception):
     """Existing ledger cannot be resumed: another family's, a malformed row,
-    or a p column that is not the family's good primes in order."""
+    rows of more than one family, or a p column that is not the family's good
+    primes in order."""
 
 
 @dataclass
@@ -114,16 +110,16 @@ def entry_row(fam_hash: str, e: SeriesEntry) -> list[str]:
     ]
 
 
-def row_entry(row: dict[str, str]) -> SeriesEntry:
-    p = int(row["p"])
-    if row["skipped"] == "1":
-        return SeriesEntry(p, None, None, None, skipped=True, reason=row["reason"])
-    den = int(row["A_p_den"])
+def row_entry(row: list[str]) -> SeriesEntry:
+    """The entry of one ledger row, its fields in LEDGER_FIELDS order."""
+    _, p, num, den, a_b, skipped, reason = row
+    p = int(p)
+    if skipped == "1":
+        return SeriesEntry(p, None, None, None, skipped=True, reason=reason)
+    num, den, a_b = int(num), int(den), int(a_b)
     if den not in (1, p):  # A_p has denominator dividing p
         raise ValueError(f"A_p_den = {den} is neither 1 nor p = {p}")
-    a_p = Fraction(int(row["A_p_num"]), den)
-    a_b = int(row["a_p_B"])
-    return SeriesEntry(p, a_p, a_b, a_p - a_b)
+    return SeriesEntry(p, Fraction(num, den), a_b, Fraction(num - a_b * den, den))
 
 
 def _drop_torn_row(path: Path) -> None:
@@ -143,8 +139,9 @@ def load_ledger(path: Path) -> tuple[str | None, list[SeriesEntry]]:
     """Family hash and entries of an existing ledger; (None, []) if absent.
 
     A torn final row is dropped from the file, so a resume recomputes that
-    prime.  A header other than LEDGER_FIELDS, a p that does not strictly
-    ascend, or any other malformed row raises LedgerMismatch.
+    prime.  A header other than LEDGER_FIELDS, a row with another number of
+    fields or another family hash than the first row, a p that does not
+    strictly ascend, or any other malformed row raises LedgerMismatch.
     """
     if not path.exists():
         return None, []
@@ -153,19 +150,25 @@ def load_ledger(path: Path) -> tuple[str | None, list[SeriesEntry]]:
     fam_hash = None
     with path.open(newline="") as fh:
         try:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames not in (None, LEDGER_FIELDS):
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header not in (None, LEDGER_FIELDS):
                 raise LedgerMismatch(
-                    f"ledger at {path}: header {reader.fieldnames} is not "
+                    f"ledger at {path}: header {header} is not "
                     f"{LEDGER_FIELDS}; it cannot be resumed"
                 )
             for row in reader:
-                fam_hash = row["family_hash"]
+                if len(row) != len(LEDGER_FIELDS):
+                    raise ValueError(f"{len(row)} fields, not {len(LEDGER_FIELDS)}")
+                if fam_hash is None:
+                    fam_hash = row[0]
+                elif row[0] != fam_hash:
+                    raise ValueError(f"family hash {row[0]}, not {fam_hash} as in row 1")
                 entry = row_entry(row)
                 if entries and entry.p <= entries[-1].p:
                     raise ValueError(f"p = {entry.p} does not exceed {entries[-1].p}")
                 entries.append(entry)
-        except (csv.Error, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (csv.Error, ValueError, ZeroDivisionError) as exc:
             raise LedgerMismatch(
                 f"ledger at {path}: row {len(entries) + 1} is malformed "
                 f"({type(exc).__name__}: {exc}); it cannot be resumed"
@@ -180,6 +183,14 @@ class RunResult:
     series: NagaoSeries
     out_dir: Path
     skipped: list[SeriesEntry] = field(default_factory=list)
+    _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def points(self, checkpoints: list[int]) -> list[SeriesPoint]:
+        """cesaro_series of this run's entries, computed once per T_i grid."""
+        key = tuple(checkpoints)
+        if key not in self._points:
+            self._points[key] = cesaro_series(self.series.entries, checkpoints)
+        return self._points[key]
 
 
 def run_pipeline(spec: FamilySpec, config: RunConfig) -> RunResult:
@@ -230,7 +241,7 @@ def run_pipeline(spec: FamilySpec, config: RunConfig) -> RunResult:
 
 
 def series_csv_text(result: RunResult, checkpoints: list[int]) -> str:
-    points = cesaro_series(result.series.entries, checkpoints)
+    points = result.points(checkpoints)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(SERIES_FIELDS)
@@ -250,7 +261,7 @@ def residue_csv_text(result: RunResult, s_list: list[float], t_max: int) -> str:
 
 
 def summary_dict(result: RunResult, checkpoints: list[int]) -> dict:
-    points = cesaro_series(result.series.entries, checkpoints)
+    points = result.points(checkpoints)
     final = points[-1]
     out = {
         "family": result.spec.name,
@@ -288,6 +299,14 @@ class VerifyCheck:
 def verify_family(spec: FamilySpec, p_max: int = 23) -> list[VerifyCheck]:
     """Cross-check the grid against enumeration, and trace_sum against the
     grid, for every good p <= p_max."""
+    from .kernels import (
+        affine_counts,
+        fiber_arrays,
+        grid_trace_sum,
+        singular_c_values,
+        trace_sum,
+    )
+
     checks: list[VerifyCheck] = []
     bad = bad_primes(spec)
     primes = [p for p in primes_in_range(3, p_max) if p not in bad]

@@ -51,14 +51,16 @@ class Form5Report:
 
 def form5_diagnostic(series: NagaoSeries, config: FiberConfiguration) -> Form5Report:
     residuals = []
+    abs_vals = []
     for entry in series.entries:
         if entry.skipped:
             continue
-        r = Fraction(trace_on_S(config, entry.p)) - entry.A_star
-        residuals.append((entry.p, r))
+        n, d = entry.A_star.numerator, entry.A_star.denominator
+        r = trace_on_S(config, entry.p) * d - n  # r/d is in lowest terms, as n/d is
+        residuals.append((entry.p, Fraction(r, d)))
+        abs_vals.append(abs(r) / d)
     if not residuals:
         return Form5Report((), 0.0, 0.0)
-    abs_vals = [abs(float(r)) for _, r in residuals]
     return Form5Report(
         tuple(residuals),
         sum(abs_vals) / len(abs_vals),

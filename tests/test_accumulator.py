@@ -25,7 +25,9 @@ from nagao.accumulator import (
     trace_correction,
     variant_average,
 )
+from nagao.family_model import FiberConfiguration, FiberDescriptor, parse_m_rule
 from nagao.prime_field import make_field, primes_in_range
+from nagao.shioda_tate import form5_diagnostic, trace_on_S
 
 
 def test_family_hash_distinguishes_families():
@@ -173,3 +175,60 @@ def test_synthetic_estimator_linearity(r, t_max):
     base = cesaro_series(synthetic_entries(-1, t_max), [t_max])[0].S_T
     scaled = cesaro_series(synthetic_entries(-r, t_max), [t_max])[0].S_T
     assert scaled == pytest.approx(r * base)
+
+
+@st.composite
+def ledgers(draw):
+    """Entries over the primes up to T: some skipped, A_p with denominator 1
+    or p, a_p(B) and so A*_p of either sign."""
+    entries = []
+    for p in primes_in_range(3, draw(st.integers(3, 400))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            entries.append(SeriesEntry(p, None, None, None, skipped=True, reason="x"))
+            continue
+        den = draw(st.sampled_from([1, p]))
+        a_p = Fraction(draw(st.integers(-5 * p, 5 * p)), den)
+        a_b = draw(st.integers(-9, 9))
+        entries.append(SeriesEntry(p, a_p, a_b, a_p - a_b))
+    return entries
+
+
+FORM5_CONFIG = FiberConfiguration(tuple(
+    FiberDescriptor(f"f{i}", 3, 2, parse_m_rule(rule))
+    for i, rule in enumerate(["2", "3 if chi(-1) == 1 else 1", "2 if p % 3 == 1 else 0"])
+))
+
+
+@settings(max_examples=60)
+@given(entries=ledgers(), data=st.data())
+def test_estimators_equal_the_fraction_formulas_bit_for_bit(entries, data):
+    used = [e for e in entries if not e.skipped]
+    t_max = entries[-1].p if entries else 3
+    cps = sorted(set(data.draw(st.lists(st.integers(3, t_max), min_size=1, max_size=4))))
+    for e in used:
+        assert e.weight == float(-e.A_star) * math.log(e.p)
+
+    acc, idx = 0.0, 0
+    for pt in cesaro_series(entries, cps):
+        while idx < len(used) and used[idx].p <= pt.T:
+            acc += float(-used[idx].A_star) * math.log(used[idx].p)
+            idx += 1
+        assert pt.S_T == acc / pt.T
+
+    s_list = [1.5, *DEFAULT_S_GRID]
+    want = []
+    for s in s_list:
+        acc = 0.0
+        for e in used:
+            acc += float(-e.A_star) * math.log(e.p) / e.p**s
+        want.append((s, (s - 1) * acc))
+    assert dirichlet_residue(entries, s_list, t_max) == want
+
+    report = form5_diagnostic(NagaoSeries("h", entries), FORM5_CONFIG)
+    residuals = [(e.p, Fraction(trace_on_S(FORM5_CONFIG, e.p)) - e.A_star) for e in used]
+    assert report.residuals == tuple(residuals)
+    assert all(type(r) is Fraction for _, r in report.residuals)
+    abs_vals = [abs(float(r)) for _, r in residuals]
+    if abs_vals:
+        assert report.mean_abs == sum(abs_vals) / len(abs_vals)
+        assert report.max_abs == max(abs_vals)

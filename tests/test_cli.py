@@ -13,6 +13,7 @@ import pytest
 
 import nagao
 from nagao.cli import main
+from nagao.family_model import MAX_DEGREE
 
 
 @pytest.fixture
@@ -170,20 +171,33 @@ def test_empty_list_exits_1(tmp_path, family_file, capsys, command, flag):
     assert not out.exists()
 
 
+def _python(args, cwd, **kw):
+    """A fresh interpreter, `python *args`, that imports this checkout's nagao."""
+    src = str(Path(nagao.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, **kw)
+
+
 def test_deeply_nested_poly_exits_1(tmp_path, family_file):
     fam = Path(family_file("shioda_g1"))
     text = fam.read_text()
     deep = "(" * 1200 + "x^3 - x + t^2" + ")" * 1200
     fam.write_text(text.replace("poly x^3 - x + t^2", f"poly {deep}"))
-    src = str(Path(nagao.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "nagao.cli", "run", "--family", str(fam), "--tmax", "50",
-         "--out", str(tmp_path / "o")],
-        cwd=tmp_path, env=env, capture_output=True, text=True,
-    )
+    proc = _python(["-m", "nagao.cli", "run", "--family", str(fam), "--tmax", "50",
+                    "--out", str(tmp_path / "o")], tmp_path)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_oversized_degree_exits_1_before_any_resultant(tmp_path, family_file):
+    fam = Path(family_file("shioda_g1"))
+    fam.write_text(fam.read_text().replace("poly x^3 - x + t^2", "poly x^3 - x + t^999999"))
+    proc = _python(["-m", "nagao.cli", "run", "--family", str(fam), "--tmax", "50",
+                    "--out", str(tmp_path / "o")], tmp_path, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: shioda_g1: t-degree 999999 exceeds the bound {MAX_DEGREE}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -238,6 +252,18 @@ def _delete_p_5(lines):
     del lines[2]
 
 
+def _foreign_hash_row_3(lines):
+    lines[3] = b"deadbeefdeadbeef" + lines[3][lines[3].index(b","):]
+
+
+def _extra_field_row_3(lines):
+    lines[3] = lines[3].replace(b"\r\n", b",extra\r\n")
+
+
+def _missing_field_row_3(lines):
+    lines[3] = lines[3][:lines[3].rindex(b",")] + b"\r\n"
+
+
 @pytest.mark.parametrize(
     "corrupt, where",
     [
@@ -246,6 +272,9 @@ def _delete_p_5(lines):
         (_den_neither_1_nor_p, "row 4"),
         (_insert_p_9, "row 4 has p = 9"),
         (_delete_p_5, "row 2 has p = 7 where shioda_g1 has good prime 5"),
+        (_foreign_hash_row_3, "row 3 is malformed (ValueError: family hash deadbeefdeadbeef"),
+        (_extra_field_row_3, "row 3 is malformed (ValueError: 8 fields, not 7)"),
+        (_missing_field_row_3, "row 3 is malformed (ValueError: 6 fields, not 7)"),
     ],
 )
 def test_resume_with_inconsistent_ledger_exits_2(tmp_path, family_file, capsys, corrupt, where):
@@ -298,9 +327,35 @@ def test_commands_do_not_import_sympy(tmp_path):
         assert main(["verify", "--family", fam]) == 0
         assert "sympy" not in sys.modules, "sympy was imported"
     """)
-    src = str(Path(nagao.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
-    )
+    proc = _python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_ledger_only_commands_do_not_import_numpy(tmp_path):
+    """Over a complete ledger, run, series and residue only read it: no numpy.
+    A pool run with primes to compute loads the kernels in the parent, before
+    the workers fork, so that they do not each import numpy again."""
+    names = nagao.shipped_family_names()
+    for name in names:
+        fam = str(resources.files(nagao).joinpath(f"families/{name}.fam"))
+        proc = _python(["-m", "nagao.cli", "run", "--family", fam, "--tmax", "60", "--out", name],
+                       tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    code = textwrap.dedent(f"""
+        import sys
+        from importlib import resources
+        import nagao
+        from nagao.cli import main
+        for name in {names!r}:
+            fam = str(resources.files(nagao).joinpath(f"families/{{name}}.fam"))
+            for command in ("run", "series", "residue"):
+                args = [command, "--resume", "--family", fam, "--tmax", "60", "--out", name]
+                assert main(args) == 0, args
+        assert "numpy" not in sys.modules, "numpy was imported"
+        assert "nagao.kernels" not in sys.modules
+        assert main(["run", "--resume", "--jobs", "2", "--family", fam, "--tmax", "120",
+                     "--out", name]) == 0
+        assert "nagao.kernels" in sys.modules
+    """)
+    proc = _python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr

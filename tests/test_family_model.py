@@ -12,6 +12,7 @@ from nagao.family_model import (
     BadPrime,
     BivarPoly,
     FamilySpec,
+    MAX_DEGREE,
     InfinityRule,
     MRule,
     ParseError,
@@ -226,6 +227,26 @@ def test_parse_poly_long_sum():
     assert parse_poly("+".join(["x"] * 1000)) == _mono(1, 0, 1000)
 
 
+def test_pow_squares_only_while_bits_remain(monkeypatch):
+    mul = BivarPoly.__mul__
+    calls = []
+
+    def counting_mul(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(BivarPoly, "__mul__", counting_mul)
+    f = BivarPoly.from_dict({(1, 0): 1, (0, 1): 2, (0, 0): -1})  # x + 2t - 1
+    # one product per set bit of n, one square per bit after the first
+    want_calls = [0, 1, 2, 3, 3, 4, 4, 5, 4, 5]
+    power = BivarPoly.from_dict({(0, 0): 1})
+    for n in range(10):
+        calls.clear()
+        assert f**n == power
+        assert len(calls) == want_calls[n], n
+        power = mul(power, f)
+
+
 def test_specialize_t():
     p = parse_poly("x^3 - x + t^2")
     assert p.specialize_t(2, 5) == (4, 4, 0, 1)  # t^2 = 4, -x = 4x
@@ -389,6 +410,26 @@ def test_validation_rejects_non_squarefree_trace_curve():
     # a constant has no Jacobian, and every prime would divide its discriminant 0
     with pytest.raises(ValidationError, match="trace curve"):
         parse_family(MINIMAL.replace("trace none", "trace curve 5"))
+
+
+@pytest.mark.parametrize(
+    "old, new, what",
+    [
+        ("x^3 - x + t^2", "x^3 - x + t^8", "t-degree 8"),
+        ("x^3 - x + t^2", "x^8 - x + t^2", "x-degree 8"),
+        ("trace none", "trace curve x^9 - x", "trace curve x-degree 9"),
+    ],
+)
+def test_validation_refuses_degrees_above_the_bound(old, new, what):
+    # refused before any resultant is computed, whose cost grows like deg^5
+    with pytest.raises(ValidationError, match=f"{what} exceeds the bound {MAX_DEGREE}"):
+        parse_family(MINIMAL.replace(old, new))
+
+
+def test_validation_accepts_degrees_at_the_bound():
+    spec = parse_family(MINIMAL.replace("x^3 - x + t^2", f"x^{MAX_DEGREE} - x + t^{MAX_DEGREE}")
+                        .replace("genus 1", f"genus {(MAX_DEGREE - 1) // 2}"))
+    assert spec.polys[0].deg_x == spec.polys[0].deg_t == MAX_DEGREE
 
 
 def test_validation_genus_degree_consistency():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nagao import load_shipped_family, parse_family, runner
+from nagao import kernels, load_shipped_family, parse_family
 from nagao.accumulator import SeriesEntry, family_hash
 from nagao.fiber_trace import brute_force_affine
 from nagao.runner import (
@@ -65,15 +65,11 @@ def test_default_checkpoints():
 def test_entry_row_round_trip():
     e = SeriesEntry(11, Fraction(-7, 11), -1, Fraction(-7, 11) + 1)
     row = entry_row("h", e)
-    parsed = row_entry(dict(zip(
-        ["family_hash", "p", "A_p_num", "A_p_den", "a_p_B", "skipped", "reason"], row
-    )))
+    parsed = row_entry(row)
     assert parsed == SeriesEntry(11, Fraction(-7, 11), -1, Fraction(4, 11))
     skip = SeriesEntry(13, None, None, None, skipped=True, reason="why")
     row = entry_row("h", skip)
-    parsed = row_entry(dict(zip(
-        ["family_hash", "p", "A_p_num", "A_p_den", "a_p_B", "skipped", "reason"], row
-    )))
+    parsed = row_entry(row)
     assert parsed == skip
 
 
@@ -157,21 +153,21 @@ def test_verify_family_all_checks_pass(name):
 
 
 def test_verify_family_checks_the_run_kernel(monkeypatch):
-    kernel = runner.affine_counts
-    monkeypatch.setattr(runner, "affine_counts", lambda spec, ctx: kernel(spec, ctx) + 1)
+    kernel = kernels.affine_counts
+    monkeypatch.setattr(kernels, "affine_counts", lambda spec, ctx: kernel(spec, ctx) + 1)
     checks = verify_family(load_shipped_family("shioda_g1"), p_max=7)
     assert checks[0].name.startswith("affine_counts")
     assert not checks[0].passed
 
 
 def test_verify_family_checks_the_run_trace_path(monkeypatch):
-    kernel = runner.fiber_arrays
+    kernel = kernels.fiber_arrays
 
     def off_by_one(spec, ctx):
         arrays = kernel(spec, ctx)
         return dataclasses.replace(arrays, a=arrays.a + 1)
 
-    monkeypatch.setattr(runner, "fiber_arrays", off_by_one)
+    monkeypatch.setattr(kernels, "fiber_arrays", off_by_one)
     checks = verify_family(load_shipped_family("shioda_g1"), p_max=7)
     assert checks[1].name.startswith("fiber_arrays")
     assert not checks[1].passed
@@ -179,13 +175,13 @@ def test_verify_family_checks_the_run_trace_path(monkeypatch):
 
 
 def test_verify_family_checks_trace_sum(monkeypatch):
-    kernel = runner.trace_sum
+    kernel = kernels.trace_sum
 
     def off_by_one(spec, ctx):
         total, refused = kernel(spec, ctx)
         return total + 1, refused
 
-    monkeypatch.setattr(runner, "trace_sum", off_by_one)
+    monkeypatch.setattr(kernels, "trace_sum", off_by_one)
     checks = verify_family(load_shipped_family("multicover_ex2"), p_max=7)
     assert checks[3].name == "trace_sum: equals grid (p <= 7)"
     assert not checks[3].passed
@@ -194,8 +190,8 @@ def test_verify_family_checks_trace_sum(monkeypatch):
 
 
 def test_verify_family_checks_trace_sum_refusals(monkeypatch):
-    kernel = runner.trace_sum
-    monkeypatch.setattr(runner, "trace_sum", lambda spec, ctx: (kernel(spec, ctx)[0], []))
+    kernel = kernels.trace_sum
+    monkeypatch.setattr(kernels, "trace_sum", lambda spec, ctx: (kernel(spec, ctx)[0], []))
     spec = parse_family(
         'family "x_degree_drop"\nkind hyperelliptic\npoly t*x^3 + x^2 + 1\n'
         "genus 1\ntrace none\ninfinity trace_zero\n"
