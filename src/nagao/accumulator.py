@@ -12,7 +12,8 @@ A*_p is kept as an exact Fraction everywhere; floats appear only in the
 final log-weighted reduction, accumulated in fixed ascending-p order.
 
 The estimators read only the ledger, so this module loads the numpy-backed
-kernels only when a prime's trace is to be computed.
+kernels only when a prime's trace is to be computed with them: a root_count
+family without trace curves never loads them.
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ from fractions import Fraction
 from .family_model import (
     FamilySpec,
     bad_primes,
+    check_bad_primes_known,
     render_family,
     trace_curve_discriminants,
 )
+from .fiber_sum import needs_numpy, trace_sum
 from .fiber_trace import UnsupportedFiber
 from .prime_field import FieldCtx, make_field, primes_in_range
 
@@ -79,6 +82,8 @@ def family_hash(spec: FamilySpec) -> str:
 
 def trace_correction(spec: FamilySpec, ctx: FieldCtx) -> int:
     """a_p(B) = sum of the traces of the declared trace curves; 0 if trivial."""
+    if not spec.trace.curves:
+        return 0
     from .kernels import univariate_curve_trace
 
     total = 0
@@ -93,8 +98,6 @@ def average_trace(spec: FamilySpec, ctx: FieldCtx) -> Fraction:
     """A_p = (1/p) * sum over c in P^1(F_p) of the fiber trace at c.
 
     Raises the first UnsupportedFiber when a fiber's trace is refused."""
-    from .kernels import trace_sum
-
     total, unsupported = trace_sum(spec, ctx)
     if unsupported:
         raise unsupported[0]
@@ -127,6 +130,9 @@ def compute_entry(spec: FamilySpec, p: int) -> SeriesEntry:
 
 
 def good_primes(spec: FamilySpec, lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi] outside the bad set; ValidationError when the
+    bad set is not known up to hi (check_bad_primes_known)."""
+    check_bad_primes_known(spec, hi)
     bad = bad_primes(spec)
     if hi < 2:
         return []
@@ -145,7 +151,8 @@ def iter_entries(spec: FamilySpec, primes: list[int], jobs: int = 1):
     """Yield entries in ascending-p order, optionally fanning out to workers."""
     if not primes:
         return
-    from . import kernels  # noqa: F401 -- loads numpy once, before the pool forks
+    if needs_numpy(spec):
+        from . import kernels  # noqa: F401 -- loads numpy once, before the pool forks
 
     if jobs <= 1 or len(primes) < 4:
         for p in primes:

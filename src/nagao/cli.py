@@ -142,6 +142,9 @@ def main(argv: list[str] | None = None) -> int:
     except LedgerMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValidationError as exc:  # bad primes unknown up to --tmax
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"error: cannot write to {config.out_dir}: {exc}", file=sys.stderr)
         return 1

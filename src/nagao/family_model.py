@@ -168,10 +168,17 @@ class BivarPoly:
 
 
 def kernel_name(polys: tuple[BivarPoly, ...]) -> str:
-    """The kernels.KERNELS entry that sums these covers, from the shape of F over Z."""
+    """The kernels.KERNELS entry that sums these covers, from the shape of F over Z.
+
+    root_count takes one cover e(x) + b(x) t + lam t^2 of odd x-degree with
+    lam = +-1, a unit at every odd prime, so its formula holds at every good p.
+    """
     varying = [poly for poly in polys if poly.deg_t > 0]
     if len(varying) > 1:
         return "grid"
+    if len(polys) == 1 and polys[0].deg_t == 2 and polys[0].deg_x % 2 == 1:
+        if [(i, c) for i, j, c in polys[0].terms if j == 2] in ([(0, 1)], [(0, -1)]):
+            return "root_count"
     if not varying or varying[0].deg_t <= 2:
         return "closed_form_t2"
     if all(i == 0 or j == 0 for i, j, _ in varying[0].terms):
@@ -201,9 +208,16 @@ _VARS = {"x": BivarPoly(((1, 0, 1),)), "t": BivarPoly(((0, 1, 1),))}
 _BLANKS_RE = re.compile(r"\s|\b0+(?=\d)")
 
 
+# Largest x- or t-degree of a power of a polynomial with more than one term,
+# checked before it is expanded.  A monomial power is one term at any degree.
+MAX_POWER_DEGREE = 1024
+
+
 def parse_poly(text: str, line: int = 0) -> BivarPoly:
     """Parse an integer polynomial in x and t: decimal integers, x, t, ( ),
-    binary + - *, unary - and +, and ^ with a decimal integer exponent.
+    binary + - *, unary - and +, and ^ with a decimal integer exponent.  A
+    power of a sum whose x- or t-degree would exceed MAX_POWER_DEGREE raises
+    ParseError before it is expanded.
 
     ^ is read as ** and precedence is Python's, so ^ binds tighter than unary
     minus: x + -t^2 is x - t^2.  The ast.parse tree is folded leaves first,
@@ -233,7 +247,11 @@ def parse_poly(text: str, line: int = 0) -> BivarPoly:
         if isinstance(node, ast.BinOp) and op in _OPS:
             value[node] = _OPS[op](value[node.left], value[node.right])
         elif isinstance(node, ast.BinOp) and op is ast.Pow and isinstance(node.right, ast.Constant):
-            value[node] = value[node.left] ** node.right.value  # the leaf test below passed it
+            base, k = value[node.left], node.right.value  # the leaf test below passed k
+            if len(base.terms) > 1 and max(base.deg_x, base.deg_t) * k > MAX_POWER_DEGREE:
+                raise ParseError(f"power of degree {max(base.deg_x, base.deg_t)}*{k} exceeds "
+                                 f"the bound {MAX_POWER_DEGREE}", line, col(node.col_offset))
+            value[node] = base**k
         elif isinstance(node, ast.UnaryOp) and op in _OPS:
             value[node] = _OPS[op](value[node.operand])
         elif isinstance(node, ast.Constant) and raw[node.col_offset:node.end_col_offset].isdigit():
@@ -701,21 +719,43 @@ def _content(coeffs: tuple[int, ...]) -> int:
     return g
 
 
-def _prime_factors(n: int) -> set[int]:
+# Trial division in _prime_factors stops here: a content it leaves unfactored
+# has only prime factors above it, so the bad primes up to it stay exact.
+FACTOR_BOUND = 10**6
+
+
+def _prime_factors(n: int) -> tuple[set[int], int]:
+    """The prime factors of n up to FACTOR_BOUND, and the cofactor left
+    unfactored (1 when there is none), whose prime factors all exceed it."""
     n = abs(n)
     out: set[int] = set()
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= FACTOR_BOUND:
         while n % d == 0:
             out.add(d)
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
+    if 1 < n < d * d:  # prime
         out.add(n)
-    return out
+        n = 1
+    return out, n
 
 
 @functools.lru_cache(maxsize=64)
+def _bad_primes_and_cofactors(spec: FamilySpec) -> tuple[frozenset[int], bool]:
+    bad: set[int] = {2}
+    bad |= set(spec.extra_bad_primes)
+    cofactor = False
+    for res in singular_locus_polys(spec):
+        c = _content(res)
+        if c == 0:
+            continue  # identically zero resultant is caught by validation
+        primes, rest = _prime_factors(c)
+        bad |= primes
+        cofactor |= rest > 1
+    return frozenset(bad), cofactor
+
+
 def bad_primes(spec: FamilySpec) -> frozenset[int]:
     """The finite set S of primes excluded from every averaged sum.
 
@@ -724,16 +764,20 @@ def bad_primes(spec: FamilySpec) -> frozenset[int]:
     detected exactly: the obstructions are the integer contents of the
     singular-locus polynomials (the generic x-degree drops exactly at the
     divisors of a leading x-coefficient's content), so the candidate primes
-    are their divisors.
+    are their divisors.  The set is exact up to FACTOR_BOUND, and everywhere
+    unless check_bad_primes_known refuses a larger T.
     """
-    bad: set[int] = {2}
-    bad |= set(spec.extra_bad_primes)
-    for res in singular_locus_polys(spec):
-        c = _content(res)
-        if c == 0:
-            continue  # identically zero resultant is caught by validation
-        bad |= _prime_factors(c)
-    return frozenset(bad)
+    return _bad_primes_and_cofactors(spec)[0]
+
+
+def check_bad_primes_known(spec: FamilySpec, t_max: int) -> None:
+    """Raise ValidationError when t_max exceeds FACTOR_BOUND and a content
+    kept a cofactor that trial division left unfactored."""
+    if t_max > FACTOR_BOUND and _bad_primes_and_cofactors(spec)[1]:
+        raise ValidationError(
+            f"{spec.name}: a singular-locus content has a factor above {FACTOR_BOUND} "
+            f"that is not factored, so the bad primes up to T = {t_max} are unknown"
+        )
 
 
 # ---------------------------------------------------------------------------

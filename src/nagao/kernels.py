@@ -1,11 +1,12 @@
-"""Batched per-prime evaluation of fiber point counts and their sum.
+"""Batched per-prime evaluation of fiber point counts with numpy.
 
-A run needs, for each prime p, only the sum of the fiber traces over
-P^1(F_p) and the fibers whose trace is refused.  trace_sum gets that sum
-from one of three exact kernels, each giving sum_c N_affine(c).  kernel_name
-picks it from the shape of F over Z, so a family uses one kernel at every
-prime:
+trace_sum (fiber_sum) needs, for each prime p, sum_c N_affine(c) over the
+finite c, and gets it from one of four exact kernels.  kernel_name picks it
+from the shape of F over Z, so a family uses one kernel at every prime:
 
+- root_count: one cover e(x) + b(x) t + lam t^2 with lam = +-1 and odd
+  x-degree.  The sum is p^2 + p chi(lam) (r_D - 1), r_D the number of roots
+  of D = b^2 - 4 lam e in F_p: O(deg^2 log p), without numpy (fiber_sum).
 - closed_form_t2: at most one cover involves t, with t-degree <= 2.  For
   each x the inner sum over c of chi(a c^2 + b c + e) has a closed form
   (Berndt-Evans-Williams, Gauss and Jacobi Sums, Thm 2.1.2), so the cost is
@@ -31,16 +32,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fp_poly
-from .family_model import (
-    BadPrime,
-    BivarPoly,
-    FamilySpec,
-    bad_primes,
-    fiber_at,
-    kernel_name,
-    singular_locus_polys,
+from .family_model import BivarPoly, FamilySpec, kernel_name  # noqa: F401 -- kernel_name re-exported
+from .fiber_sum import (  # noqa: F401 -- singular_c_values and trace_sum re-exported
+    refused,
+    require_good,
+    root_count,
+    singular_c_values,
+    trace_sum,
 )
-from .fiber_trace import UnsupportedFiber, component_count
+from .fiber_trace import UnsupportedFiber
 from .prime_field import FieldCtx
 
 _CHUNK_ELEMENTS = 4_000_000  # grid cells held in memory at once
@@ -140,28 +140,6 @@ def affine_counts(spec: FamilySpec, ctx: FieldCtx) -> np.ndarray:
     return _chi_grid_sums(spec.polys, ctx)
 
 
-def singular_c_values(spec: FamilySpec, ctx: FieldCtx) -> np.ndarray:
-    """Finite c with singular fiber, via the integer t-resultant loci.
-
-    Roots mod p of Res_x(F_i, F_i'), of the leading x-coefficients, and (for
-    multicovers) of Res_x(F_1, F_2).  Agrees with the defining gcd computation
-    away from the bad set; the agreement is exercised by the test suite.
-    """
-    p = ctx.p
-    cs = np.arange(p, dtype=np.int64)
-    mask = np.zeros(p, dtype=bool)
-    for locus in singular_locus_polys(spec):
-        red = fp_poly.trim(c % p for c in locus)
-        if not red:
-            raise BadPrime(
-                f"p = {p}: degeneracy locus vanishes identically (prime belongs in S)"
-            )
-        if len(red) == 1:
-            continue
-        mask |= _horner_vec(red, cs, p) == 0
-    return np.flatnonzero(mask)
-
-
 def _split_covers(polys: tuple[BivarPoly, ...], ctx: FieldCtx):
     """(weight, varying) for covers of which at most one involves t.
 
@@ -232,54 +210,21 @@ def _grid_total(polys: tuple[BivarPoly, ...], ctx: FieldCtx) -> int:
 
 
 # each maps (polys, ctx) to sum_c N_affine(c) over the finite c
-KERNELS = {"closed_form_t2": _closed_form_t2, "separable": _separable, "grid": _grid_total}
+KERNELS = {
+    "root_count": root_count,
+    "closed_form_t2": _closed_form_t2,
+    "separable": _separable,
+    "grid": _grid_total,
+}
 
 
-def _require_good(spec: FamilySpec, p: int) -> None:
-    if p in bad_primes(spec):
-        raise BadPrime(f"p = {p} lies in the bad set of {spec.name}")
-
-
-def _points_over_x_infinity(poly: BivarPoly, ctx: FieldCtx) -> np.ndarray:
+def points_over_x_infinity(poly: BivarPoly, ctx: FieldCtx) -> np.ndarray:
     """Points over x = infinity of y^2 = F(x, c) for every finite c, from the
     generic x-degree: 1 when it is odd, 1 + chi(lead(c)) when it is even."""
     if poly.deg_x % 2 == 1:
         return np.ones(ctx.p, dtype=np.int64)
     lead = fp_poly.trim(c % ctx.p for c in poly.leading_x_coeff())
     return 1 + _chi_at_all_x(lead, ctx).astype(np.int64)
-
-
-def _refused(spec: FamilySpec, ctx: FieldCtx, sing_idx) -> list[UnsupportedFiber]:
-    """The singular fibers of a single cover whose trace component_count refuses."""
-    unsupported = []
-    for c in sing_idx:
-        try:
-            component_count(ctx, fiber_at(spec, ctx, int(c)))
-        except UnsupportedFiber as exc:
-            unsupported.append(exc)
-    return unsupported
-
-
-def trace_sum(spec: FamilySpec, ctx: FieldCtx) -> tuple[int, list[UnsupportedFiber]]:
-    """Sum of the fiber traces over P^1(F_p), and the fibers it refuses.
-
-    A multicover takes nu and m from its affine_plus rule and refuses no
-    fiber, so it skips the singular locus.  A single cover has m = 1 and its
-    points over x = infinity from the generic x-degree; its singular fibers
-    go through component_count to collect the refused ones.  The fiber over
-    t = infinity has trace 0, except in a constant family, whose fibers are
-    all the same curve.
-    """
-    p = ctx.p
-    _require_good(spec, p)
-    n_aff = KERNELS[kernel_name(spec.polys)](spec.polys, ctx)
-    if spec.kind == "multicover":
-        rule = spec.infinity_rule
-        return p * (1 + p * rule.m - rule.nu) - n_aff, []
-    total = p * (p + 1) - n_aff - int(_points_over_x_infinity(spec.polys[0], ctx).sum())
-    if spec.kind == "constant":
-        total += total // p
-    return total, _refused(spec, ctx, singular_c_values(spec, ctx))
 
 
 @dataclass
@@ -299,7 +244,7 @@ def fiber_arrays(spec: FamilySpec, ctx: FieldCtx) -> FiberArrays:
     multicovers too.
     """
     p = ctx.p
-    _require_good(spec, p)
+    require_good(spec, p)
     n_aff = affine_counts(spec, ctx)
     sing_idx = singular_c_values(spec, ctx)
     singular = np.zeros(p, dtype=bool)
@@ -307,8 +252,8 @@ def fiber_arrays(spec: FamilySpec, ctx: FieldCtx) -> FiberArrays:
     if spec.kind == "multicover":
         rule = spec.infinity_rule
         return FiberArrays(p, 1 + p * rule.m - (n_aff + rule.nu), singular, [])
-    a = (p + 1) - (n_aff + _points_over_x_infinity(spec.polys[0], ctx))
-    return FiberArrays(p, a, singular, _refused(spec, ctx, sing_idx))
+    a = (p + 1) - (n_aff + points_over_x_infinity(spec.polys[0], ctx))
+    return FiberArrays(p, a, singular, refused(spec, ctx, sing_idx))
 
 
 def grid_trace_sum(spec: FamilySpec, ctx: FieldCtx) -> tuple[int, list[UnsupportedFiber]]:

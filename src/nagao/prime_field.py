@@ -7,9 +7,10 @@ batched table lookups.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -50,14 +51,26 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldCtx:
-    """An odd prime p together with the Legendre-symbol lookup table.
+    """An odd prime p together with its Legendre-symbol lookup table.
 
-    chi_table[a] is 0 for a = 0, +1 for nonzero squares and -1 otherwise.
-    Immutable after construction; safe to share across workers.
+    Immutable; safe to share across workers.  The table is built on first
+    access, so a prime whose traces need no point count never loads numpy.
     """
 
     p: int
-    chi_table: np.ndarray = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def chi_table(self) -> np.ndarray:
+        """chi_table[a] is 0 for a = 0, +1 for nonzero squares and -1 otherwise,
+        built in O(p) by marking the squares {a^2 mod p}; read-only int8."""
+        import numpy as np
+
+        a = np.arange(self.p, dtype=np.int64)
+        table = np.full(self.p, -1, dtype=np.int8)
+        table[(a * a) % self.p] = 1
+        table[0] = 0
+        table.setflags(write=False)
+        return table
 
     def chi(self, a: int) -> int:
         """Quadratic character of a residue, by table lookup."""
@@ -67,23 +80,12 @@ class FieldCtx:
 
 
 def make_field(p: int) -> FieldCtx:
-    """Build a FieldCtx for an odd prime p.
-
-    The table is built in O(p) by marking the squares {a^2 mod p}.
-    """
+    """Build a FieldCtx for an odd prime p."""
     if p < 3:
         raise EvenOrSmall(f"p must be an odd prime >= 3, got {p}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    import numpy as np  # only point counts need it; ledger-only commands never load it
-
-    a = np.arange(p, dtype=np.int64)
-    squares = (a * a) % p
-    table = np.full(p, -1, dtype=np.int8)
-    table[squares] = 1
-    table[0] = 0
-    table.setflags(write=False)
-    return FieldCtx(p=p, chi_table=table)
+    return FieldCtx(p)
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:

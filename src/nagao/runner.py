@@ -378,5 +378,7 @@ def verify_family(spec: FamilySpec, p_max: int = 23) -> list[VerifyCheck]:
             ok = False
             detail = f"p={p}: {kernel_name(spec.polys)} (sum, refused c) {got} != grid {want}"
             break
-    checks.append(VerifyCheck(f"trace_sum: equals grid (p <= {p_max})", ok, detail))
+    checks.append(
+        VerifyCheck(f"trace_sum: {kernel_name(spec.polys)} equals grid (p <= {p_max})", ok, detail)
+    )
     return checks

@@ -13,7 +13,7 @@ import pytest
 
 import nagao
 from nagao.cli import main
-from nagao.family_model import MAX_DEGREE
+from nagao.family_model import FACTOR_BOUND, MAX_DEGREE, MAX_POWER_DEGREE
 
 
 @pytest.fixture
@@ -82,7 +82,7 @@ def test_verify_prints_one_line_per_check(family_file, capsys):
     assert rc == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
     assert len(lines) == 4
-    assert lines[-1] == "trace_sum: equals grid (p <= 23): PASS"
+    assert lines[-1] == "trace_sum: root_count equals grid (p <= 23): PASS"
     assert all(line.endswith("PASS") for line in lines)
 
 
@@ -199,6 +199,39 @@ def test_oversized_degree_exits_1_before_any_resultant(tmp_path, family_file):
     assert proc.returncode == 1
     assert proc.stderr == f"error: shioda_g1: t-degree 999999 exceeds the bound {MAX_DEGREE}\n"
     assert not (tmp_path / "o").exists()
+
+
+BIG_COEFFICIENT_POLY = "poly 1000000000000000000000000000057*x^3 - x + t^2"
+
+
+def test_large_coefficient_runs_to_a_small_tmax(tmp_path, family_file):
+    fam = Path(family_file("shioda_g1"))
+    fam.write_text(fam.read_text().replace("poly x^3 - x + t^2", BIG_COEFFICIENT_POLY))
+    proc = _python(["-m", "nagao.cli", "run", "--family", str(fam), "--tmax", "50",
+                    "--out", str(tmp_path / "o")], tmp_path, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_large_coefficient_past_the_factor_bound_exits_1(tmp_path, family_file):
+    fam = Path(family_file("shioda_g1"))
+    fam.write_text(fam.read_text().replace("poly x^3 - x + t^2", BIG_COEFFICIENT_POLY))
+    proc = _python(["-m", "nagao.cli", "run", "--family", str(fam),
+                    "--tmax", str(FACTOR_BOUND + 1), "--out", str(tmp_path / "o")],
+                   tmp_path, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: shioda_g1: ") and "Traceback" not in proc.stderr
+    assert f"above {FACTOR_BOUND}" in proc.stderr
+
+
+def test_power_of_a_sum_above_the_bound_exits_1(tmp_path, family_file):
+    fam = Path(family_file("shioda_g1"))
+    fam.write_text(fam.read_text().replace("poly x^3 - x + t^2", "poly x^3 - x + (t + 1)^100000"))
+    proc = _python(["-m", "nagao.cli", "run", "--family", str(fam), "--tmax", "50",
+                    "--out", str(tmp_path / "o")], tmp_path, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"error: power of degree 1*100000 exceeds the bound {MAX_POWER_DEGREE} at line 7, col 11\n"
+    )
 
 
 def test_resume_against_foreign_ledger_exits_2(tmp_path, family_file, capsys):
@@ -353,9 +386,30 @@ def test_ledger_only_commands_do_not_import_numpy(tmp_path):
                 assert main(args) == 0, args
         assert "numpy" not in sys.modules, "numpy was imported"
         assert "nagao.kernels" not in sys.modules
+        fam = str(resources.files(nagao).joinpath("families/constant_E.fam"))
         assert main(["run", "--resume", "--jobs", "2", "--family", fam, "--tmax", "120",
-                     "--out", name]) == 0
+                     "--out", "constant_E"]) == 0
         assert "nagao.kernels" in sys.modules
+    """)
+    proc = _python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_root_count_runs_do_not_import_numpy(tmp_path, jobs):
+    """shioda_g1 and shioda_g2 take the root_count kernel and have no trace
+    curve, so a run that computes primes loads neither numpy nor the kernels."""
+    code = textwrap.dedent(f"""
+        import sys
+        from importlib import resources
+        import nagao
+        from nagao.cli import main
+        for name in ("shioda_g1", "shioda_g2"):
+            fam = str(resources.files(nagao).joinpath(f"families/{{name}}.fam"))
+            args = ["run", "--jobs", {jobs!r}, "--family", fam, "--tmax", "400", "--out", name]
+            assert main(args) == 0, args
+        assert "numpy" not in sys.modules, "numpy was imported"
+        assert "nagao.kernels" not in sys.modules
     """)
     proc = _python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -11,14 +11,18 @@ from nagao import load_shipped_family, shipped_family_names
 from nagao.family_model import (
     BadPrime,
     BivarPoly,
+    FACTOR_BOUND,
     FamilySpec,
     MAX_DEGREE,
+    MAX_POWER_DEGREE,
     InfinityRule,
     MRule,
     ParseError,
     TraceSpec,
     ValidationError,
+    _prime_factors,
     bad_primes,
+    check_bad_primes_known,
     fiber_at,
     parse_family,
     parse_m_rule,
@@ -225,6 +229,35 @@ def test_parse_poly_huge_input_parses_or_raises_parse_error(text, value):
 
 def test_parse_poly_long_sum():
     assert parse_poly("+".join(["x"] * 1000)) == _mono(1, 0, 1000)
+
+
+def test_power_of_a_sum_is_bounded_before_expansion():
+    assert parse_poly(f"(t + 1)^{MAX_POWER_DEGREE}").deg_t == MAX_POWER_DEGREE
+    for text in (f"x + (t + 1)^{MAX_POWER_DEGREE + 1}", f"x + (x^2 + t)^{MAX_POWER_DEGREE // 2 + 1}"):
+        with pytest.raises(ParseError, match="exceeds the bound") as info:
+            parse_poly(text, line=3)
+        assert (info.value.line, info.value.col) == (3, 5)
+    assert parse_poly("t^999999").deg_t == 999999  # a monomial power is one term
+
+
+def test_prime_factors_stop_at_the_bound():
+    assert _prime_factors(-12) == ({2, 3}, 1)
+    # a cofactor below the square of the next trial divisor is prime
+    assert _prime_factors(999983 * 1000003) == ({999983, 1000003}, 1)
+    assert _prime_factors(6 * 1000003**2) == ({2, 3}, 1000003**2)
+
+
+def test_unfactored_content_limits_the_tmax():
+    text = (
+        'family "big"\nkind hyperelliptic\npoly 3*1000003^2*x^3 - x + t^2\n'
+        "genus 1\ntrace none\ninfinity trace_zero\n"
+    )
+    spec = parse_family(text)
+    assert bad_primes(spec) == {2, 3}
+    check_bad_primes_known(spec, FACTOR_BOUND)
+    with pytest.raises(ValidationError, match=f"above {FACTOR_BOUND}"):
+        check_bad_primes_known(spec, FACTOR_BOUND + 1)
+    check_bad_primes_known(load_shipped_family("shioda_g1"), 10 * FACTOR_BOUND)
 
 
 def test_pow_squares_only_while_bits_remain(monkeypatch):

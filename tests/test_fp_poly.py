@@ -180,3 +180,60 @@ def test_eval_at():
 def test_eval_at_matches_naive(coeffs, x):
     naive = sum(c * x**i for i, c in enumerate(coeffs)) % 13
     assert fp_poly.eval_at(tuple(coeffs), x, 13) == naive
+
+
+ROOT_PRIMES = [3, 5, 7, 11, 13, 17, 97, 101]
+
+
+@settings(max_examples=80)
+@given(data=st.data(), p=st.sampled_from(ROOT_PRIMES), n=st.integers(0, 250))
+def test_powmod_matches_repeated_multiplication(data, p, n):
+    f = data.draw(poly_strategy(p))
+    m = data.draw(poly_strategy(p).filter(bool))  # constants included
+    want = fp_poly.divmod_((1,), m, p)[1]
+    for _ in range(n):
+        want = fp_poly.divmod_(fp_poly.mul(want, f, p), m, p)[1]
+    assert fp_poly.powmod(f, n, m, p) == want
+
+
+@st.composite
+def nonzero_with_roots(draw):
+    """(f, p): a unit times (x - r)^e over drawn roots, 0 and repeated roots
+    often among them, times a drawn cofactor; f may be a constant."""
+    p = draw(st.sampled_from(ROOT_PRIMES))
+    f = (draw(st.integers(1, p - 1)),)
+    root = st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)
+    for r, e in draw(st.lists(st.tuples(root, st.integers(1, 3)), max_size=5)):
+        for _ in range(e):
+            f = fp_poly.mul(f, ((-r) % p, 1), p)
+    cofactor = draw(poly_strategy(p, max_deg=3))
+    return (fp_poly.mul(f, cofactor, p) if cofactor else f), p
+
+
+@settings(max_examples=150)
+@given(case=nonzero_with_roots())
+def test_roots_and_linear_part_match_enumeration(case):
+    f, p = case
+    want = [x for x in range(p) if fp_poly.eval_at(f, x, p) == 0]
+    assert fp_poly.roots(f, p) == want
+    part = fp_poly.linear_part(f, p)
+    assert part[-1] == 1 and fp_poly.deg(part) == len(want)
+    assert all(fp_poly.eval_at(part, x, p) == 0 for x in want)
+
+
+def test_roots_examples():
+    p = 7
+    f = fp_poly.mul(fp_poly.mul((0, 1), (0, 1), p), (6, 0, 1), p)  # x^2 (x^2 - 1)
+    assert fp_poly.roots(f, p) == [0, 1, 6]
+    assert fp_poly.roots((3,), p) == []  # a nonzero constant has no root
+    assert fp_poly.roots((1, 0, 1), p) == []  # x^2 + 1, irreducible mod 7
+    assert fp_poly.linear_part((1, 0, 1), p) == (1,)
+    every = fp_poly.sub((0,) * 7 + (1,), (0, 1), p)  # x^7 - x
+    assert fp_poly.roots(every, p) == list(range(p))
+
+
+def test_sqrt_mod_of_every_square():
+    for p in (3, 5, 7, 13, 17, 97, 193, 257):  # 2-adic valuations of p - 1 from 1 to 8
+        for x in range(1, p):
+            r = fp_poly.sqrt_mod(x * x % p, p)
+            assert r * r % p == x * x % p

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nagao
-from nagao import kernels, load_shipped_family, parse_family
+from nagao import fiber_sum, kernels, load_shipped_family, parse_family
 from nagao.accumulator import compute_entry, good_primes
-from nagao.family_model import BivarPoly, bad_primes, fiber_at
+from nagao.family_model import BivarPoly, bad_primes, fiber_at, parse_poly
 from nagao.fiber_trace import (
     UnsupportedFiber,
     brute_force_affine,
@@ -177,8 +177,8 @@ def test_trace_sum_equals_grid(name):
     "name, kernel",
     [
         ("constant_E", "closed_form_t2"),
-        ("shioda_g1", "closed_form_t2"),
-        ("shioda_g2", "closed_form_t2"),
+        ("shioda_g1", "root_count"),
+        ("shioda_g2", "root_count"),
         ("multicover_ex2", "closed_form_t2"),
         ("multicover_ex2_swapped", "closed_form_t2"),
         ("cubic_t", "separable"),
@@ -197,6 +197,30 @@ def test_non_separable_t_degree_3_selects_grid():
     for p in good_small_primes(spec):
         ctx = make_field(p)
         assert trace_sum(spec, ctx)[0] == grid_trace_sum(spec, ctx)[0]
+
+
+@pytest.mark.parametrize("name", ["shioda_g1", "shioda_g2"])
+def test_root_count_equals_closed_form_t2_at_a_large_prime(name):
+    spec = load_shipped_family(name)
+    p = 999983
+    ctx = make_field(p)
+    total, refused = trace_sum(spec, ctx)
+    # odd x-degree: one point over x = infinity on each finite fiber
+    assert total == p * (p + 1) - KERNELS["closed_form_t2"](spec.polys, ctx) - p
+    assert refused == []
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        "x^3 - x + 3*t^2",  # lam = 3 vanishes mod 3, a good prime of this family
+        "x^3 - x + x*t^2",  # t^2 coefficient involves x
+        "x^4 - x + t^2",  # even x-degree
+        "x^3 - x + t^2 + t^3",  # t-degree 3
+    ],
+)
+def test_root_count_refuses_other_shapes(poly):
+    assert kernel_name((parse_poly(poly),)) != "root_count"
 
 
 def test_two_covers_with_t_select_grid():
@@ -249,9 +273,30 @@ def separable_cover(draw):
     return BivarPoly.from_dict(coeffs)
 
 
+@st.composite
+def root_count_cover(draw):
+    """e(x) + b(x) t + lam t^2 of odd x-degree, lam = +-1: root_count's shape."""
+    deg_x = draw(st.sampled_from([1, 3, 5]))
+    coeffs = {(i, j): draw(small_coeff) for i in range(deg_x + 1) for j in range(2)}
+    coeffs[(deg_x, draw(st.integers(0, 1)))] = draw(nonzero_coeff)
+    coeffs[(0, 2)] = draw(st.sampled_from([1, -1]))
+    return BivarPoly.from_dict(coeffs)
+
+
 def assert_kernel_counts(kernel, polys, p):
     assert kernel_name(polys) == kernel
     assert KERNELS[kernel](polys, make_field(p)) == brute_force_total(polys, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cover=root_count_cover(), p=st.sampled_from(SMALL_PRIMES))
+def test_root_count_matches_enumeration(cover, p):
+    assert_kernel_counts("root_count", (cover,), p)
+
+
+def test_root_count_where_d_vanishes_mod_p():
+    # D = b^2 - 4e = -12 x^7 is 0 mod 3: every x is a root
+    assert_kernel_counts("root_count", (parse_poly("3*x^7 + x^6 + 2*x^3*t + t^2"),), 3)
 
 
 @pytest.mark.parametrize("parity", [1, 0])
@@ -303,5 +348,5 @@ def test_run_path_uses_no_grid_and_multicover_no_singular_locus(monkeypatch, nam
         monkeypatch.setattr(kernels, attr, called)
     spec = load_family(name)
     if spec.kind == "multicover":
-        monkeypatch.setattr(kernels, "singular_c_values", called)
+        monkeypatch.setattr(fiber_sum, "singular_c_values", called)
     assert not compute_entry(spec, 101).skipped
