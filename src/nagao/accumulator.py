@@ -12,8 +12,9 @@ A*_p is kept as an exact Fraction everywhere; floats appear only in the
 final log-weighted reduction, accumulated in fixed ascending-p order.
 
 The estimators read only the ledger, so this module loads the numpy-backed
-kernels only when a prime's trace is to be computed with them: a root_count
-family without trace curves never loads them.
+kernels only when a prime's trace is to be computed with them (needs_numpy):
+a chi_sum family whose character sums stay at degree <= 3, as every shipped
+family's do, never loads them.
 """
 
 from __future__ import annotations
@@ -81,16 +82,18 @@ def family_hash(spec: FamilySpec) -> str:
 
 
 def trace_correction(spec: FamilySpec, ctx: FieldCtx) -> int:
-    """a_p(B) = sum of the traces of the declared trace curves; 0 if trivial."""
+    """a_p(B) = sum of the traces of the declared trace curves; 0 if trivial.
+
+    Each trace comes from charsum.char_sum, whose memo the kernel shares."""
     if not spec.trace.curves:
         return 0
-    from .kernels import univariate_curve_trace
+    from .charsum import curve_trace
 
     total = 0
     for curve, disc in zip(spec.trace.curves, trace_curve_discriminants(spec)):
         if disc % ctx.p == 0 or curve[-1] % ctx.p == 0:
             raise BadTracePrime(f"p = {ctx.p} is bad for a trace curve")
-        total += univariate_curve_trace(ctx, curve)
+        total += curve_trace(curve, ctx)
     return total
 
 

@@ -168,19 +168,12 @@ class BivarPoly:
 
 
 def kernel_name(polys: tuple[BivarPoly, ...]) -> str:
-    """The kernels.KERNELS entry that sums these covers, from the shape of F over Z.
-
-    root_count takes one cover e(x) + b(x) t + lam t^2 of odd x-degree with
-    lam = +-1, a unit at every odd prime, so its formula holds at every good p.
-    """
+    """The kernels.KERNELS entry that sums these covers, from the shape of F over Z."""
     varying = [poly for poly in polys if poly.deg_t > 0]
     if len(varying) > 1:
         return "grid"
-    if len(polys) == 1 and polys[0].deg_t == 2 and polys[0].deg_x % 2 == 1:
-        if [(i, c) for i, j, c in polys[0].terms if j == 2] in ([(0, 1)], [(0, -1)]):
-            return "root_count"
     if not varying or varying[0].deg_t <= 2:
-        return "closed_form_t2"
+        return "chi_sum"
     if all(i == 0 or j == 0 for i, j, _ in varying[0].terms):
         return "separable"
     return "grid"
@@ -201,23 +194,32 @@ def _dense(by_deg: dict[int, int]) -> tuple[int, ...]:
 # Expression parser: Python's own, on a whitelist of nodes
 # ---------------------------------------------------------------------------
 
-_OPS = {ast.Add: BivarPoly.__add__, ast.Sub: BivarPoly.__sub__, ast.Mult: BivarPoly.__mul__,
-        ast.USub: BivarPoly.__neg__, ast.UAdd: lambda f: f}
+_OPS = {ast.Add: BivarPoly.__add__, ast.Sub: BivarPoly.__sub__, ast.USub: BivarPoly.__neg__,
+        ast.UAdd: lambda f: f}
 _VARS = {"x": BivarPoly(((1, 0, 1),)), "t": BivarPoly(((0, 1, 1),))}
+_ONE = BivarPoly(((0, 0, 1),))
 # whitespace and a literal's leading zeros (Python rejects them) become spaces
 _BLANKS_RE = re.compile(r"\s|\b0+(?=\d)")
 
 
 # Largest x- or t-degree of a power of a polynomial with more than one term,
-# checked before it is expanded.  A monomial power is one term at any degree.
+# and largest number of terms (deg_x k + 1)(deg_t k + 1) that its expansion
+# can have, both checked before it is expanded.  A monomial power is one term
+# at any degree.
 MAX_POWER_DEGREE = 1024
+MAX_POWER_TERMS = 2**19
+# Largest number of term-by-term products that the products and powers of one
+# expression may take together, about a second of work.
+MAX_EXPANSION_WORK = 4 * 10**6
 
 
 def parse_poly(text: str, line: int = 0) -> BivarPoly:
     """Parse an integer polynomial in x and t: decimal integers, x, t, ( ),
     binary + - *, unary - and +, and ^ with a decimal integer exponent.  A
-    power of a sum whose x- or t-degree would exceed MAX_POWER_DEGREE raises
-    ParseError before it is expanded.
+    power of a sum whose x- or t-degree would exceed MAX_POWER_DEGREE, or
+    whose expansion could exceed MAX_POWER_TERMS terms, raises ParseError
+    before it is expanded, and so does a product once the expression's
+    products exceed MAX_EXPANSION_WORK term products in all.
 
     ^ is read as ** and precedence is Python's, so ^ binds tighter than unary
     minus: x + -t^2 is x - t^2.  The ast.parse tree is folded leaves first,
@@ -240,18 +242,41 @@ def parse_poly(text: str, line: int = 0) -> BivarPoly:
     except (RecursionError, MemoryError):
         raise ParseError("expression nested too deeply", line)
     value: dict[ast.expr, BivarPoly] = {}
+    work = 0
+
+    def mul(f: BivarPoly, g: BivarPoly, node: ast.expr) -> BivarPoly:
+        nonlocal work
+        work += len(f.terms) * len(g.terms)
+        if work > MAX_EXPANSION_WORK:
+            raise ParseError(f"expansion exceeds the bound of {MAX_EXPANSION_WORK} term products",
+                             line, col(node.col_offset))
+        return f * g
+
     for node in reversed(list(ast.walk(body))):  # every child before its parent
         if not isinstance(node, ast.expr):
             continue  # an operator or context, judged with its parent
         op = type(getattr(node, "op", None))
-        if isinstance(node, ast.BinOp) and op in _OPS:
+        if isinstance(node, ast.BinOp) and op is ast.Mult:
+            value[node] = mul(value[node.left], value[node.right], node)
+        elif isinstance(node, ast.BinOp) and op in _OPS:
             value[node] = _OPS[op](value[node.left], value[node.right])
         elif isinstance(node, ast.BinOp) and op is ast.Pow and isinstance(node.right, ast.Constant):
             base, k = value[node.left], node.right.value  # the leaf test below passed k
-            if len(base.terms) > 1 and max(base.deg_x, base.deg_t) * k > MAX_POWER_DEGREE:
-                raise ParseError(f"power of degree {max(base.deg_x, base.deg_t)}*{k} exceeds "
+            dx, dt = base.deg_x, base.deg_t
+            if len(base.terms) > 1 and max(dx, dt) * k > MAX_POWER_DEGREE:
+                raise ParseError(f"power of degree {max(dx, dt)}*{k} exceeds "
                                  f"the bound {MAX_POWER_DEGREE}", line, col(node.col_offset))
-            value[node] = base**k
+            if len(base.terms) > 1 and (dx * k + 1) * (dt * k + 1) > MAX_POWER_TERMS:
+                raise ParseError(f"power of up to {(dx * k + 1) * (dt * k + 1)} terms exceeds "
+                                 f"the bound {MAX_POWER_TERMS}", line, col(node.col_offset))
+            out = _ONE
+            while k:  # square and multiply from the low bit
+                if k & 1:
+                    out = mul(out, base, node)
+                k >>= 1
+                if k:
+                    base = mul(base, base, node)
+            value[node] = out
         elif isinstance(node, ast.UnaryOp) and op in _OPS:
             value[node] = _OPS[op](value[node.operand])
         elif isinstance(node, ast.Constant) and raw[node.col_offset:node.end_col_offset].isdigit():
@@ -542,7 +567,11 @@ def parse_family(text: str) -> FamilySpec:
                     q = int(tok)
                 except ValueError:
                     raise ParseError(f"bad prime {tok!r}", lineno)
-                if not is_prime(q):
+                try:
+                    prime = is_prime(q)
+                except ValueError as exc:
+                    raise ParseError(f"badprimes entry: {exc}", lineno)
+                if not prime:
                     raise ParseError(f"badprimes entry {q} is not prime", lineno)
                 extra_bad.add(q)
         elif key == "fiber":

@@ -1,13 +1,17 @@
 """Sum of the fiber traces over P^1(F_p) for one prime, and its refusals.
 
 trace_sum runs the family's kernel (kernel_name) and adds the points over the
-two infinities.  The root_count kernel and the singular-fiber locus are root
-finding in F_p[x], O(deg^2 log p), so a root_count family computes its traces
-without numpy.  The other kernels are in kernels, which trace_sum imports,
-and numpy with it, only for a family that takes one of them.
+two infinities.  The chi_sum kernel reduces the sum to a few character sums
+S(f) = sum_x chi(f(x)) (charsum) and root counts in F_p[x], so a chi_sum
+family whose sums stay at degree <= 3, as every shipped family's do,
+computes its traces without numpy.  The separable and grid kernels, and S(f)
+of degree >= 4, are in kernels, which is imported, and numpy with it, only
+where one of them is needed (needs_numpy).
 """
 
 from __future__ import annotations
+
+import math
 
 from . import fp_poly
 from .family_model import (
@@ -20,29 +24,88 @@ from .family_model import (
     singular_locus_polys,
 )
 from .fiber_trace import UnsupportedFiber, component_count
-from .prime_field import FieldCtx
+from .prime_field import FieldCtx, legendre
 
 
-def root_count(polys: tuple[BivarPoly, ...], ctx: FieldCtx) -> int:
-    """sum_c N_affine(c) for the one cover e(x) + b(x) t + lam t^2, lam = +-1.
+def chi_sum(polys: tuple[BivarPoly, ...], ctx: FieldCtx) -> int:
+    """sum_c N_affine(c) when at most one cover involves t, with t-degree <= 2.
 
-    For each x, sum_c chi(lam c^2 + b c + e) is -chi(lam) when D = b^2 - 4 lam e
-    is nonzero at x and (p - 1) chi(lam) when it vanishes, so the sum is
-    p^2 + p chi(lam) (r_D - 1), with r_D the number of roots of D in F_p.
-    chi(lam) comes from Euler's criterion.
+    Write that cover as a(x) c^2 + b(x) c + e(x), D = b^2 - 4ae, and let the
+    covers without t give the weight w(x) = prod_i (1 + chi(G_i(x))), W its
+    sum.  For each x the sum over c of chi(F) is -chi(a) if a != 0 != D,
+    (p - 1) chi(a) if a != 0 = D, 0 if a = 0 != b and p chi(e) if a = b = 0
+    (Berndt-Evans-Williams, Gauss and Jacobi Sums, Thm 2.1.2).  As chi(a) is
+    0 on the roots of a,
+
+        sum_c N_aff = p W - sum_x w chi(a) + p sum_{Z(D)} w chi(a)
+                      + p sum_{Z(a) & Z(b)} w chi(e).
+
+    w(x) = sum over subsets I of chi(prod_{i in I} G_i(x)), so W and
+    sum_x w chi(a) are sums of S(f) (charsum.char_sum).  The last two terms run over
+    the roots of D and of gcd(a, b) (fp_poly.roots); a polynomial that
+    vanishes mod p has all of F_p as its roots, and its term is S-sums too.
+    With no cover without t and a a nonzero constant, only the number of
+    roots of D enters, so no root is split off.
     """
     p = ctx.p
-    e, b, (lam,) = polys[0].t_coeff_polys()
-    d = fp_poly.sub(fp_poly.mul(b, b, p), fp_poly.mul((4 * lam,), e, p), p)
-    r = fp_poly.deg(fp_poly.linear_part(d, p)) if d else p  # D = 0: every x is a root
-    chi_lam = 1 if pow(lam % p, (p - 1) // 2, p) == 1 else -1
-    return p * p + p * chi_lam * (r - 1)
+    free: list[tuple[int, ...]] = []
+    e = b = a = ()
+    for poly in polys:
+        cs = [fp_poly.trim(c % p for c in cs) for cs in poly.t_coeff_polys()]
+        if poly.deg_t > 0:
+            e, b, a = (cs + [(), ()])[:3]
+        else:
+            free.append(cs[0])
+    d = fp_poly.sub(fp_poly.mul(b, b, p), fp_poly.mul((4,), fp_poly.mul(a, e, p), p), p)
+    if not free and len(a) == 1:  # the constant summand chi(a) = +-1
+        r = fp_poly.deg(fp_poly.linear_part(d, p)) if d else p  # D = 0: every x
+        return p * p + p * legendre(a[0], p) * (r - 1)
+    from .charsum import char_sum
+
+    products = [(1,)]  # prod_{i in I} G_i over the subsets I
+    for g in free:
+        products += [fp_poly.mul(h, g, p) for h in products]
+
+    def w_sum(f: tuple[int, ...]) -> int:  # sum_x w(x) chi(f(x))
+        return sum(char_sum(fp_poly.mul(f, h, p), ctx) for h in products)
+
+    def w_chi_at_roots(f: tuple[int, ...], zeros: tuple[int, ...]) -> int:
+        total = 0
+        for r in fp_poly.roots(zeros, p):
+            w = math.prod(1 + legendre(fp_poly.eval_at(g, r, p), p) for g in free)
+            total += w * legendre(fp_poly.eval_at(f, r, p), p)
+        return total
+
+    sum_a = w_sum(a)
+    total = p * w_sum((1,)) - sum_a
+    if a:  # else chi(a) = 0 everywhere
+        total += p * (w_chi_at_roots(a, d) if d else sum_a)
+    total += p * (w_chi_at_roots(e, fp_poly.gcd(a, b, p)) if a or b else w_sum(e))
+    return total
 
 
 def needs_numpy(spec: FamilySpec) -> bool:
-    """Whether computing a prime's entry loads numpy: a kernel other than
-    root_count, or a trace curve (kernels.univariate_curve_trace)."""
-    return kernel_name(spec.polys) != "root_count" or bool(spec.trace.curves)
+    """Whether computing a prime's entry may load numpy: a kernel other than
+    chi_sum, or an S(f) of degree >= 4, bounded by the degrees over Z.
+
+    chi_sum needs S of the products of the covers without t, times a (unless
+    the constant-summand case applies at every prime, a = +-1 with no such
+    cover), times e where a and b can vanish together mod p; trace_correction
+    needs S of each trace curve.  A t-degree <= 2 leading x-coefficient is at
+    most quadratic."""
+    if kernel_name(spec.polys) != "chi_sum":
+        return True
+    free = [poly for poly in spec.polys if poly.deg_t <= 0]
+    deg_free = sum(poly.deg_x for poly in free)
+    degs = [deg_free] + [len(curve) - 1 for curve in spec.trace.curves]
+    for poly in spec.polys:
+        if poly.deg_t > 0:
+            e, b, a = (poly.t_coeff_polys() + [(), ()])[:3]
+            if free or a not in ((1,), (-1,)):
+                degs.append(deg_free + len(a) - 1)
+            if math.gcd(*a, *b) != 1:
+                degs.append(deg_free + len(e) - 1)
+    return max(degs) >= 4
 
 
 def require_good(spec: FamilySpec, p: int) -> None:
@@ -83,13 +146,13 @@ def refused(spec: FamilySpec, ctx: FieldCtx, sing_idx) -> list[UnsupportedFiber]
 
 
 def _x_infinity_total(poly: BivarPoly, ctx: FieldCtx) -> int:
-    """The points over x = infinity summed over the finite c; p for an odd
-    x-degree, which every root_count family has."""
+    """The points over x = infinity summed over the finite c, from the generic
+    x-degree: p when it is odd, p + S(lead) when it is even."""
     if poly.deg_x % 2 == 1:
         return ctx.p
-    from .kernels import points_over_x_infinity
+    from .charsum import char_sum
 
-    return int(points_over_x_infinity(poly, ctx).sum())
+    return ctx.p + char_sum(poly.leading_x_coeff(), ctx)
 
 
 def trace_sum(spec: FamilySpec, ctx: FieldCtx) -> tuple[int, list[UnsupportedFiber]]:
@@ -105,8 +168,8 @@ def trace_sum(spec: FamilySpec, ctx: FieldCtx) -> tuple[int, list[UnsupportedFib
     p = ctx.p
     require_good(spec, p)
     name = kernel_name(spec.polys)
-    if name == "root_count":
-        n_aff = root_count(spec.polys, ctx)
+    if name == "chi_sum":
+        n_aff = chi_sum(spec.polys, ctx)
     else:
         from .kernels import KERNELS  # the numpy kernels
 

@@ -1,16 +1,13 @@
-"""Batched per-prime evaluation of fiber point counts with numpy.
+"""The numpy kernels, the O(p^2) grid oracle and the O(p) character sums.
 
 trace_sum (fiber_sum) needs, for each prime p, sum_c N_affine(c) over the
-finite c, and gets it from one of four exact kernels.  kernel_name picks it
+finite c, and gets it from one of three exact kernels.  kernel_name picks it
 from the shape of F over Z, so a family uses one kernel at every prime:
 
-- root_count: one cover e(x) + b(x) t + lam t^2 with lam = +-1 and odd
-  x-degree.  The sum is p^2 + p chi(lam) (r_D - 1), r_D the number of roots
-  of D = b^2 - 4 lam e in F_p: O(deg^2 log p), without numpy (fiber_sum).
-- closed_form_t2: at most one cover involves t, with t-degree <= 2.  For
-  each x the inner sum over c of chi(a c^2 + b c + e) has a closed form
-  (Berndt-Evans-Williams, Gauss and Jacobi Sums, Thm 2.1.2), so the cost is
-  O(p).  Covers without t enter as a per-x factor 1 + chi(F_i(x)).
+- chi_sum (fiber_sum): at most one cover involves t, with t-degree <= 2.
+  The sum reduces to character sums S(f) and root counts in F_p[x]; S(f) of
+  degree <= 3 costs O(p^(1/4)) by baby-step giant-step, so this kernel loads
+  numpy only for an S(f) of degree >= 4 (table_char_sum, O(p)).
 - separable: the cover involving t is G(x) + H(t) with deg H >= 3.  The sum
   is sum_w chi(w) (h_G * h_H)(w) over the value histograms of G and H, one
   cyclic convolution of length p by FFT, O(p log p).
@@ -22,7 +19,9 @@ from the shape of F over Z, so a family uses one kernel at every prime:
   has the same values in every column, so numpy broadcasts one column.
 
 The grid also gives every finite fiber's trace (fiber_arrays), which
-`nagao verify` and the tests use as the oracle for trace_sum.
+`nagao verify` and the tests use as the oracle for trace_sum;
+points_over_x_infinity and univariate_curve_trace are the per-fiber oracles
+of the points over x = infinity and of a trace curve's a_p.
 """
 
 from __future__ import annotations
@@ -34,9 +33,9 @@ import numpy as np
 from . import fp_poly
 from .family_model import BivarPoly, FamilySpec, kernel_name  # noqa: F401 -- kernel_name re-exported
 from .fiber_sum import (  # noqa: F401 -- singular_c_values and trace_sum re-exported
+    chi_sum,
     refused,
     require_good,
-    root_count,
     singular_c_values,
     trace_sum,
 )
@@ -58,6 +57,11 @@ def _chi_at_all_x(coeffs, ctx: FieldCtx) -> np.ndarray:
     """chi(G(x)) for every x in F_p, G given by ascending coefficients mod p."""
     vals = _horner_vec(coeffs, np.arange(ctx.p, dtype=np.int64), ctx.p)
     return ctx.chi_table[vals]
+
+
+def table_char_sum(coeffs, ctx: FieldCtx) -> int:
+    """S(G) = sum_x chi(G(x)) from the character table, O(p)."""
+    return int(_chi_at_all_x(coeffs, ctx).sum(dtype=np.int64))
 
 
 @dataclass
@@ -159,27 +163,6 @@ def _split_covers(polys: tuple[BivarPoly, ...], ctx: FieldCtx):
     return weight, varying
 
 
-def _closed_form_t2(polys: tuple[BivarPoly, ...], ctx: FieldCtx) -> int:
-    """sum_c N_affine(c) when at most one cover involves t, with t-degree <= 2.
-
-    Write that cover as a(x) c^2 + b(x) c + e(x) and D = b^2 - 4ae.  For each
-    x, sum_c chi(F) is -chi(a) if a != 0 and D != 0, (p - 1) chi(a) if a != 0
-    and D = 0, 0 if a = 0 and b != 0, and p chi(e) if a = b = 0.
-    """
-    p = ctx.p
-    weight, varying = _split_covers(polys, ctx)
-    inner = 0
-    if varying is not None:
-        chi = ctx.chi_table.astype(np.int64)
-        xs = np.arange(p, dtype=np.int64)
-        e, b, a = (_horner_vec(cs, xs, p) for cs in (varying + [(), ()])[:3])
-        d = (b * b - 4 * (a * e % p)) % p
-        inner = np.where(
-            a != 0, chi[a] * np.where(d == 0, p - 1, -1), np.where(b != 0, 0, p * chi[e])
-        )
-    return int((weight * (p + inner)).sum())
-
-
 def _separable(polys: tuple[BivarPoly, ...], ctx: FieldCtx) -> int:
     """sum_c N_affine(c) when the cover with t is G(x) + H(t).
 
@@ -211,8 +194,7 @@ def _grid_total(polys: tuple[BivarPoly, ...], ctx: FieldCtx) -> int:
 
 # each maps (polys, ctx) to sum_c N_affine(c) over the finite c
 KERNELS = {
-    "root_count": root_count,
-    "closed_form_t2": _closed_form_t2,
+    "chi_sum": chi_sum,
     "separable": _separable,
     "grid": _grid_total,
 }
@@ -271,7 +253,7 @@ def univariate_curve_trace(ctx: FieldCtx, coeffs: tuple[int, ...]) -> int:
     red = fp_poly.trim(c % p for c in coeffs)
     if len(red) - 1 < len(coeffs) - 1:
         raise ValueError("leading coefficient vanished mod p")
-    n_aff = p + int(_chi_at_all_x(red, ctx).sum(dtype=np.int64))
+    n_aff = p + table_char_sum(red, ctx)
     d = len(red) - 1
     n_inf = 1 if d % 2 == 1 else 1 + ctx.chi(red[-1])
     return p + 1 - (n_aff + n_inf)

@@ -1,8 +1,10 @@
-"""Prime enumeration and arithmetic over F_p with a cached quadratic-character table.
+"""Primes, and the field context F_p with its per-prime caches.
 
-The character table is the workhorse of every point count: the number of
-solutions of y^2 = a over F_p is 1 + chi(a), so affine counts reduce to
-batched table lookups.
+The number of solutions of y^2 = a over F_p is 1 + chi(a), so every point
+count is a character sum.  On the run path chi is evaluated at a few points
+by Euler's criterion (legendre) and whole sums S(f) come from charsum's
+char_sum, memoized per prime in FieldCtx.char_sums.  The O(p) table chi_table
+serves the numpy kernels, S(f) of degree >= 4 and the enumeration oracles.
 """
 
 from __future__ import annotations
@@ -33,28 +35,53 @@ class BadRange(ValueError):
     """Prime enumeration called with lo > hi or lo < 2."""
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Below this bound Miller-Rabin on the 13 bases above is exact
+# (Sorenson and Webster 2015, "Strong pseudoprimes to twelve prime bases": psi_13).
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division; adequate for p <= 10**6."""
+    """Deterministic Miller-Rabin on the first 13 prime bases, exact for
+    n < MR_BOUND; raises ValueError at or above the bound."""
+    if n >= MR_BOUND:
+        raise ValueError(f"{n} exceeds the primality test's bound {MR_BOUND}")
     if n < 2:
         return False
-    if n < 4:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:  # no prime factor up to 41 and below 43^2
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def legendre(a: int, p: int) -> int:
+    """chi(a mod p) for an odd prime p, by Euler's criterion: O(log p)."""
+    r = pow(a, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
 
 
 @dataclass(frozen=True)
 class FieldCtx:
-    """An odd prime p together with its Legendre-symbol lookup table.
+    """An odd prime p with its per-prime caches.
 
-    Immutable; safe to share across workers.  The table is built on first
-    access, so a prime whose traces need no point count never loads numpy.
+    Both caches are built on first access: the Legendre-symbol table (and
+    numpy with it) only where an O(p) sum needs it, and char_sums, the memo
+    of charsum.char_sum that the kernel and trace_correction share.
     """
 
     p: int
@@ -71,6 +98,11 @@ class FieldCtx:
         table[0] = 0
         table.setflags(write=False)
         return table
+
+    @functools.cached_property
+    def char_sums(self) -> dict[tuple[int, ...], int]:
+        """S(f) by the reduced coefficient tuple of f (charsum.char_sum)."""
+        return {}
 
     def chi(self, a: int) -> int:
         """Quadratic character of a residue, by table lookup."""

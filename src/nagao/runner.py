@@ -5,7 +5,8 @@ of persistence: series and residue files are pure functions of it, so a
 resumed run reproduces a fresh run bit for bit.  Partial outputs are written
 atomically (write-then-rename); only the append-only ledger is streamed.
 Reading a complete ledger and the estimators load no numpy; the kernels come
-in with the first prime to compute, or with verify.
+in with verify, or with the first prime to compute for a family that needs
+them (fiber_sum.needs_numpy), which no shipped family does.
 """
 
 from __future__ import annotations

@@ -82,7 +82,7 @@ def test_verify_prints_one_line_per_check(family_file, capsys):
     assert rc == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
     assert len(lines) == 4
-    assert lines[-1] == "trace_sum: root_count equals grid (p <= 23): PASS"
+    assert lines[-1] == "trace_sum: chi_sum equals grid (p <= 23): PASS"
     assert all(line.endswith("PASS") for line in lines)
 
 
@@ -234,6 +234,28 @@ def test_power_of_a_sum_above_the_bound_exits_1(tmp_path, family_file):
     )
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("infinity trace_zero", "infinity trace_zero\nbadprimes 1000000000000000000000000000057",
+         "exceeds the primality test's bound"),
+        ("poly x^3 - x + t^2", "poly x^3 - x + (x + t + 1)^1000 - (x + t + 1)^1000 + t^2",
+         "terms exceeds the bound"),
+        ("poly x^3 - x + t^2", "poly x^3 - x + (x + t + 1)^500 - (x + t + 1)^500 + t^2",
+         "term products"),
+    ],
+    ids=["badprimes_above_bound", "power_terms", "expansion_work"],
+)
+def test_oversized_family_input_exits_1_quickly(tmp_path, family_file, old, new, message):
+    fam = Path(family_file("shioda_g1"))
+    fam.write_text(fam.read_text().replace(old, new))
+    proc = _python(["-m", "nagao.cli", "run", "--family", str(fam), "--tmax", "50",
+                    "--out", str(tmp_path / "o")], tmp_path, timeout=10)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_resume_against_foreign_ledger_exits_2(tmp_path, family_file, capsys):
     out = tmp_path / "out"
     assert main([
@@ -366,14 +388,19 @@ def test_commands_do_not_import_sympy(tmp_path):
 
 def test_ledger_only_commands_do_not_import_numpy(tmp_path):
     """Over a complete ledger, run, series and residue only read it: no numpy.
-    A pool run with primes to compute loads the kernels in the parent, before
-    the workers fork, so that they do not each import numpy again."""
+    A pool run with primes to compute on a family that needs numpy, the
+    separable cubic_t, loads the kernels in the parent, before the workers
+    fork, so that they do not each import numpy again."""
     names = nagao.shipped_family_names()
     for name in names:
         fam = str(resources.files(nagao).joinpath(f"families/{name}.fam"))
         proc = _python(["-m", "nagao.cli", "run", "--family", fam, "--tmax", "60", "--out", name],
                        tmp_path)
         assert proc.returncode == 0, proc.stderr
+    (tmp_path / "cubic_t.fam").write_text(
+        'family "cubic_t"\nkind hyperelliptic\npoly x^3 - x + t^3\n'
+        "genus 1\ntrace none\ninfinity trace_zero\n"
+    )
     code = textwrap.dedent(f"""
         import sys
         from importlib import resources
@@ -386,9 +413,8 @@ def test_ledger_only_commands_do_not_import_numpy(tmp_path):
                 assert main(args) == 0, args
         assert "numpy" not in sys.modules, "numpy was imported"
         assert "nagao.kernels" not in sys.modules
-        fam = str(resources.files(nagao).joinpath("families/constant_E.fam"))
-        assert main(["run", "--resume", "--jobs", "2", "--family", fam, "--tmax", "120",
-                     "--out", "constant_E"]) == 0
+        assert main(["run", "--jobs", "2", "--family", "cubic_t.fam", "--tmax", "120",
+                     "--out", "cubic_t"]) == 0
         assert "nagao.kernels" in sys.modules
     """)
     proc = _python(["-c", code], tmp_path)
@@ -397,14 +423,14 @@ def test_ledger_only_commands_do_not_import_numpy(tmp_path):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_root_count_runs_do_not_import_numpy(tmp_path, jobs):
-    """shioda_g1 and shioda_g2 take the root_count kernel and have no trace
-    curve, so a run that computes primes loads neither numpy nor the kernels."""
+    """Every shipped family takes chi_sum with character sums of degree <= 3,
+    so a run that computes primes loads neither numpy nor the kernels."""
     code = textwrap.dedent(f"""
         import sys
         from importlib import resources
         import nagao
         from nagao.cli import main
-        for name in ("shioda_g1", "shioda_g2"):
+        for name in nagao.shipped_family_names():
             fam = str(resources.files(nagao).joinpath(f"families/{{name}}.fam"))
             args = ["run", "--jobs", {jobs!r}, "--family", fam, "--tmax", "400", "--out", name]
             assert main(args) == 0, args

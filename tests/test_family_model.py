@@ -14,7 +14,9 @@ from nagao.family_model import (
     FACTOR_BOUND,
     FamilySpec,
     MAX_DEGREE,
+    MAX_EXPANSION_WORK,
     MAX_POWER_DEGREE,
+    MAX_POWER_TERMS,
     InfinityRule,
     MRule,
     ParseError,
@@ -240,6 +242,20 @@ def test_power_of_a_sum_is_bounded_before_expansion():
     assert parse_poly("t^999999").deg_t == 999999  # a monomial power is one term
 
 
+def test_power_terms_and_expansion_work_are_bounded():
+    # 1001^2 possible terms: refused before any product
+    with pytest.raises(ParseError, match=f"1002001 terms exceeds the bound {MAX_POWER_TERMS}") as info:
+        parse_poly("x + (x + t + 1)^1000", line=3)
+    assert (info.value.line, info.value.col) == (3, 5)
+    assert (577**2) <= MAX_POWER_TERMS  # every degree-576 power of the grammar test
+    # 501^2 possible terms pass, but the squarings run out of work
+    with pytest.raises(ParseError, match=f"exceeds the bound of {MAX_EXPANSION_WORK} term products"):
+        parse_poly("(x + t + 1)^500")
+    with pytest.raises(ParseError, match="term products"):
+        parse_poly("*".join(["(x + t + 1)^40"] * 8))
+    assert len(parse_poly("(x + t + 1)^40").terms) == 41 * 42 // 2
+
+
 def test_prime_factors_stop_at_the_bound():
     assert _prime_factors(-12) == ({2, 3}, 1)
     # a cofactor below the square of the next trial divisor is prime
@@ -416,6 +432,8 @@ def test_parse_family_badprimes_line():
     assert {7, 11} <= set(bad_primes(spec))
     with pytest.raises(ParseError):
         parse_family(MINIMAL + "badprimes 9\n")
+    with pytest.raises(ParseError, match="exceeds the primality test's bound"):
+        parse_family(MINIMAL + f"badprimes {10**30 + 57}\n")
 
 
 def test_validation_rejects_non_squarefree_generic_fiber():

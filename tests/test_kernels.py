@@ -1,4 +1,5 @@
-"""Vectorized per-prime kernels against the scalar per-fiber path."""
+"""The per-prime kernels and character sums against enumeration, the grid
+and the scalar per-fiber path."""
 
 import os
 import random
@@ -12,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nagao
-from nagao import fiber_sum, kernels, load_shipped_family, parse_family
+from nagao import charsum, fiber_sum, fp_poly, kernels, load_shipped_family, parse_family
 from nagao.accumulator import compute_entry, good_primes
 from nagao.family_model import BivarPoly, bad_primes, fiber_at, parse_poly
+from nagao.charsum import char_sum, curve_order
 from nagao.fiber_trace import (
     UnsupportedFiber,
     brute_force_affine,
@@ -25,6 +27,7 @@ from nagao.fiber_trace import (
 from nagao.kernels import (
     KERNELS,
     affine_counts,
+    chi_sum,
     fiber_arrays,
     grid_trace_sum,
     kernel_name,
@@ -32,7 +35,7 @@ from nagao.kernels import (
     trace_sum,
     univariate_curve_trace,
 )
-from nagao.prime_field import make_field
+from nagao.prime_field import make_field, primes_in_range
 
 FAMILY_NAMES = ["constant_E", "shioda_g1", "shioda_g2", "multicover_ex2"]
 
@@ -176,11 +179,11 @@ def test_trace_sum_equals_grid(name):
 @pytest.mark.parametrize(
     "name, kernel",
     [
-        ("constant_E", "closed_form_t2"),
-        ("shioda_g1", "root_count"),
-        ("shioda_g2", "root_count"),
-        ("multicover_ex2", "closed_form_t2"),
-        ("multicover_ex2_swapped", "closed_form_t2"),
+        ("constant_E", "chi_sum"),
+        ("shioda_g1", "chi_sum"),
+        ("shioda_g2", "chi_sum"),
+        ("multicover_ex2", "chi_sum"),
+        ("multicover_ex2_swapped", "chi_sum"),
         ("cubic_t", "separable"),
     ],
 )
@@ -199,15 +202,41 @@ def test_non_separable_t_degree_3_selects_grid():
         assert trace_sum(spec, ctx)[0] == grid_trace_sum(spec, ctx)[0]
 
 
+def closed_form_t2(polys, ctx):
+    """sum_c N_affine(c) for at most one cover with t, of t-degree <= 2, by
+    the per-x closed form: numpy, O(p).  For x with a = a(x), b = b(x),
+    D = b^2 - 4ae, the sum over c of chi(a c^2 + b c + e) is -chi(a) if
+    a != 0 != D, (p - 1) chi(a) if a != 0 = D, 0 if a = 0 != b and p chi(e)
+    if a = b = 0."""
+    p = ctx.p
+    xs = np.arange(p, dtype=np.int64)
+    chi = ctx.chi_table.astype(np.int64)
+    weight = np.ones(p, dtype=np.int64)
+    inner = 0
+    for poly in polys:
+        e, b, a = (kernels._horner_vec(cs, xs, p) for cs in (poly.t_coeff_polys() + [(), ()])[:3])
+        if poly.deg_t <= 0:
+            weight *= 1 + chi[e]
+            continue
+        d = (b * b - 4 * (a * e % p)) % p
+        inner = np.where(
+            a != 0, chi[a] * np.where(d == 0, p - 1, -1), np.where(b != 0, 0, p * chi[e])
+        )
+    return int((weight * (p + inner)).sum())
+
+
 @pytest.mark.parametrize("name", ["shioda_g1", "shioda_g2"])
 def test_root_count_equals_closed_form_t2_at_a_large_prime(name):
+    """e(x) + b(x) t + t^2 with no cover without t: chi_sum counts the roots
+    of D and computes no character sum."""
     spec = load_shipped_family(name)
     p = 999983
     ctx = make_field(p)
     total, refused = trace_sum(spec, ctx)
     # odd x-degree: one point over x = infinity on each finite fiber
-    assert total == p * (p + 1) - KERNELS["closed_form_t2"](spec.polys, ctx) - p
+    assert total == p * (p + 1) - closed_form_t2(spec.polys, ctx) - p
     assert refused == []
+    assert ctx.char_sums == {}
 
 
 @pytest.mark.parametrize(
@@ -219,8 +248,19 @@ def test_root_count_equals_closed_form_t2_at_a_large_prime(name):
         "x^3 - x + t^2 + t^3",  # t-degree 3
     ],
 )
-def test_root_count_refuses_other_shapes(poly):
-    assert kernel_name((parse_poly(poly),)) != "root_count"
+def test_root_count_refuses_other_shapes(monkeypatch, poly):
+    """Away from e(x) + b(x) t +- t^2 of odd x-degree, trace_sum is more than
+    a count of the roots of D: at the least good prime it computes a
+    character sum, or takes another kernel, and it equals the grid."""
+    spec = parse_family(
+        f'family "other"\nkind hyperelliptic\npoly {poly}\n'
+        "genus 1\ntrace none\ninfinity trace_zero\n"
+    )
+    sums = []
+    monkeypatch.setattr(charsum, "char_sum", lambda f, ctx: sums.append(f) or char_sum(f, ctx))
+    p = good_small_primes(spec)[0]
+    assert trace_sum(spec, make_field(p))[0] == grid_trace_sum(spec, make_field(p))[0]
+    assert sums or kernel_name(spec.polys) != "chi_sum"
 
 
 def test_two_covers_with_t_select_grid():
@@ -291,27 +331,96 @@ def assert_kernel_counts(kernel, polys, p):
 @settings(max_examples=60, deadline=None)
 @given(cover=root_count_cover(), p=st.sampled_from(SMALL_PRIMES))
 def test_root_count_matches_enumeration(cover, p):
-    assert_kernel_counts("root_count", (cover,), p)
+    """chi_sum's constant summand: only the number of roots of D enters."""
+    assert_kernel_counts("chi_sum", (cover,), p)
 
 
 def test_root_count_where_d_vanishes_mod_p():
     # D = b^2 - 4e = -12 x^7 is 0 mod 3: every x is a root
-    assert_kernel_counts("root_count", (parse_poly("3*x^7 + x^6 + 2*x^3*t + t^2"),), 3)
+    assert_kernel_counts("chi_sum", (parse_poly("3*x^7 + x^6 + 2*x^3*t + t^2"),), 3)
 
 
 @pytest.mark.parametrize("parity", [1, 0])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), p=st.sampled_from(SMALL_PRIMES))
 def test_closed_form_t2_matches_enumeration(parity, data, p):
-    assert_kernel_counts("closed_form_t2", (data.draw(t2_cover(parity)),), p)
+    """chi_sum on one cover of t-degree <= 2 whose t^2 coefficient varies."""
+    assert_kernel_counts("chi_sum", (data.draw(t2_cover(parity)),), p)
 
 
 @pytest.mark.parametrize("parity", [1, 0])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), p=st.sampled_from(SMALL_PRIMES))
 def test_closed_form_t2_with_t_free_cover_matches_enumeration(parity, data, p):
+    """chi_sum with a weight 1 + chi(G(x)) from a cover without t."""
     polys = (data.draw(t_free_cover()), data.draw(t2_cover(parity)))
-    assert_kernel_counts("closed_form_t2", polys, p)
+    assert_kernel_counts("chi_sum", polys, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    free=st.lists(t_free_cover(), max_size=1),
+    e=t_free_cover(),
+    b=st.lists(small_coeff, max_size=3),
+    a=st.lists(small_coeff, max_size=3),
+    vanish=st.sampled_from(["", "a", "b", "ab"]),
+    p=st.sampled_from(SMALL_PRIMES[:5]),
+)
+def test_chi_sum_matches_enumeration(free, e, b, a, vanish, p):
+    """Up to one cover without t and one cover e + b t + a t^2, where the
+    covers named in vanish are multiplied by p: every term of chi_sum,
+    including root sets that are all of F_p."""
+    coeffs = e.as_dict()
+    for j, name, cs in ((1, "b", b), (2, "a", a)):
+        for i, c in enumerate(cs):
+            coeffs[(i, j)] = c * (p if name in vanish else 1)
+    polys = tuple(free) + (BivarPoly.from_dict(coeffs),)
+    assert kernel_name(polys) == "chi_sum"
+    assert chi_sum(polys, make_field(p)) == brute_force_total(polys, p)
+
+
+@st.composite
+def char_sum_poly(draw):
+    """A product of up to three small factors with multiplicities up to 3."""
+    f = BivarPoly.from_dict({(0, 0): draw(nonzero_coeff)})
+    for _ in range(draw(st.integers(0, 3))):
+        f = f * draw(t_free_cover()) ** draw(st.integers(1, 3))
+    return f.t_coeff_polys()[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=char_sum_poly(), p=st.sampled_from(SMALL_PRIMES))
+def test_char_sum_matches_enumeration(f, p):
+    """Repeated factors, constants, and f that vanish mod p (p | lc)."""
+    ctx = make_field(p)
+    want = sum(ctx.chi(fp_poly.eval_at(f, x, p)) for x in range(p))
+    assert char_sum(f, ctx) == want
+    assert char_sum(f, ctx) == want  # from the memo
+    assert char_sum(tuple(p * c for c in f), ctx) == 0
+
+
+def test_char_sum_small_cases():
+    ctx = make_field(7)
+    assert char_sum((), ctx) == 0
+    assert char_sum((3,), ctx) == 7 * ctx.chi(3)
+    assert char_sum((7, 14), ctx) == 0  # 0 mod 7
+    assert char_sum((1, 2, 1), ctx) == 6  # (x + 1)^2
+    assert char_sum((0, 0, 0, 5), ctx) == 0  # 5 x^3
+
+
+def test_curve_order_decides_above_229():
+    """Baby-step giant-step on E and its twist leaves a single candidate at
+    every p in (229, 10^5] (Cremona-Sutherland 2010), and it is the O(p)
+    numpy count, for both shipped trace curves (constant_E, multicover_ex2),
+    which have good reduction at every p > 3."""
+    for p in primes_in_range(230, 10**5):
+        chi = make_field(p).chi_table
+        xs = np.arange(p, dtype=np.int64)
+        for curve in ((0, -1, 0, 1), (-30, 31, -10, 1)):
+            a6, a4, a2, _ = (c % p for c in curve)
+            values = ((xs + a2) * xs + a4) * xs + a6  # below 2^63 for p < 10^5
+            n = p + 1 + int(chi[values % p].sum(dtype=np.int64))
+            assert curve_order((a6, a4, a2, 1), p) == n, f"p = {p}, {curve}"
 
 
 @settings(max_examples=40, deadline=None)

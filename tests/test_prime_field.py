@@ -1,5 +1,7 @@
 """Field context, character table, prime enumeration."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,9 @@ from nagao.prime_field import (
     FieldCtx,
     NotPrime,
     OutOfRange,
+    MR_BOUND,
     is_prime,
+    legendre,
     make_field,
     primes_in_range,
 )
@@ -28,6 +32,26 @@ def test_is_prime_small_values():
     assert not is_prime(-7)
     assert not is_prime(9973 * 9973)
     assert is_prime(9973)
+
+
+def test_is_prime_matches_sympy_below_the_bound():
+    import sympy
+
+    rng = random.Random(13)
+    cases = [rng.randrange(2, 10**k) for k in (3, 6, 12, 18, 24) for _ in range(200)]
+    cases += [3215031751, 3825123056546413051, 318665857834031151167461]  # strong pseudoprimes
+    cases += [999983, 2**61 - 1, 10**24 + 7, MR_BOUND - 1]
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n
+    with pytest.raises(ValueError, match="bound"):
+        is_prime(MR_BOUND)  # a strong pseudoprime to all 13 bases
+
+
+def test_legendre_matches_table():
+    for p in SMALL_PRIMES + [101]:
+        ctx = make_field(p)
+        for a in range(-p, 2 * p):
+            assert legendre(a, p) == ctx.chi(a % p)
 
 
 def test_make_field_rejects_bad_input():

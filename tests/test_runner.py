@@ -134,7 +134,7 @@ def test_summary_dict_contents(tmp_path):
     assert summary["n_primes"] + summary["n_skipped"] == len(result.series.entries)
     assert summary["nearest_integer"] == round(summary["S_T"])
     assert "form5_diagnostic" in summary  # the shipped file declares its fibers
-    assert summary["kernel"] == "root_count"
+    assert summary["kernel"] == "chi_sum"
 
 
 def test_brute_force_affine_known_values():
@@ -183,9 +183,9 @@ def test_verify_family_checks_trace_sum(monkeypatch):
 
     monkeypatch.setattr(kernels, "trace_sum", off_by_one)
     checks = verify_family(load_shipped_family("multicover_ex2"), p_max=7)
-    assert checks[3].name == "trace_sum: closed_form_t2 equals grid (p <= 7)"
+    assert checks[3].name == "trace_sum: chi_sum equals grid (p <= 7)"
     assert not checks[3].passed
-    assert "closed_form_t2" in checks[3].detail
+    assert "chi_sum" in checks[3].detail
     assert all(check.passed for check in checks[:3])
 
 
@@ -203,8 +203,9 @@ def test_verify_family_checks_trace_sum_refusals(monkeypatch):
 
 @pytest.mark.parametrize("name", ["shioda_g1", "shioda_g2"])
 def test_verify_names_the_root_count_kernel(name):
+    """The root-count families e(x) + b(x) t + t^2 take chi_sum."""
     checks = verify_family(load_shipped_family(name), p_max=13)
-    assert checks[3].name == "trace_sum: root_count equals grid (p <= 13)"
+    assert checks[3].name == "trace_sum: chi_sum equals grid (p <= 13)"
     assert checks[3].passed
 
 
