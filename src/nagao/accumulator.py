@@ -8,8 +8,11 @@ S(T) = (1/T) * sum_{p <= T} -A*_p log p, whose limit is the Mordell-Weil
 rank of the varying part, and the truncated Dirichlet residue
 (s-1) * sum_{p <= T} -A*_p log(p) / p^s evaluated on a grid of s > 1.
 
-A*_p is kept as an exact Fraction everywhere; floats appear only in the
-final log-weighted reduction, accumulated in fixed ascending-p order.
+A*_p is kept as exact integers, with Fraction on demand: an entry holds p,
+A_p's numerator and denominator and a_p(B), and builds A_p and A*_p as
+Fractions only when they are read.  Floats appear only in the log-weighted
+reduction, -A*_p log p computed once per entry from the integers and
+accumulated in fixed ascending-p order.
 
 The estimators read only the ledger, so this module loads the numpy-backed
 kernels only when a prime's trace is to be computed with them (needs_numpy):
@@ -19,7 +22,6 @@ family's do, never loads them.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -45,22 +47,50 @@ class DomainError(ValueError):
     """Dirichlet evaluation requested at s <= 1, s = infinity or s = NaN."""
 
 
-@dataclass(frozen=True)
 class SeriesEntry:
-    p: int
-    A_p: Fraction | None
-    a_p_B: int | None
-    A_star: Fraction | None
-    skipped: bool = False
-    reason: str = ""
+    """One ledger row as integers: p, A_p = num/den in lowest terms with
+    den > 0, and a_p(B); a skipped prime has None for all three and a reason.
 
-    @functools.cached_property
-    def weight(self) -> float:
-        """-A*_p log p, the term of every estimator; a used entry only.
+    weight = -A*_p log p, the term of every estimator, is computed once here
+    (0.0 for a skipped prime).  A*_p = (num - a_p(B) den)/den, and integer
+    true division is correctly rounded, so the weight is
+    float(-A_star) * math.log(p) to the last bit.  A_p and A_star are exact
+    Fractions built when read.  An entry is a value: do not assign to it.
+    """
 
-        Integer true division is correctly rounded, so this is
-        float(-A_star) * math.log(p) to the last bit."""
-        return -(self.A_star.numerator / self.A_star.denominator) * math.log(self.p)
+    __slots__ = ("p", "num", "den", "a_p_B", "skipped", "reason", "weight")
+
+    def __init__(self, p: int, num: int | None, den: int | None, a_p_B: int | None,
+                 skipped: bool = False, reason: str = "") -> None:
+        self.p, self.skipped, self.reason = p, skipped, reason
+        if skipped:
+            self.num = self.den = self.a_p_B = None
+            self.weight = 0.0
+            return
+        g = math.gcd(num, den)
+        if g != 1:
+            num, den = num // g, den // g
+        self.num, self.den, self.a_p_B = num, den, a_p_B
+        self.weight = -((num - a_p_B * den) / den) * math.log(p)
+
+    def __eq__(self, other):
+        if type(other) is not SeriesEntry:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+    def __repr__(self) -> str:
+        if self.skipped:
+            return f"SeriesEntry(p={self.p}, skipped=True, reason={self.reason!r})"
+        return f"SeriesEntry(p={self.p}, A_p={self.num}/{self.den}, a_p_B={self.a_p_B})"
+
+    @property
+    def A_p(self) -> Fraction | None:
+        return None if self.skipped else Fraction(self.num, self.den)
+
+    @property
+    def A_star(self) -> Fraction | None:
+        """A*_p = A_p - a_p(B)."""
+        return None if self.skipped else Fraction(self.num - self.a_p_B * self.den, self.den)
 
 
 @dataclass
@@ -129,7 +159,7 @@ def compute_entry(spec: FamilySpec, p: int) -> SeriesEntry:
     except UnsupportedFiber as exc:
         reason = f"unsupported fiber at c={exc.c}: {exc.why}"
         return SeriesEntry(p, None, None, None, skipped=True, reason=reason)
-    return SeriesEntry(p, a_p, a_b, a_p - a_b)
+    return SeriesEntry(p, a_p.numerator, a_p.denominator, a_b)
 
 
 def good_primes(spec: FamilySpec, lo: int, hi: int) -> list[int]:
@@ -151,7 +181,8 @@ def compute_series(spec: FamilySpec, t_max: int, jobs: int = 1) -> NagaoSeries:
 
 
 def iter_entries(spec: FamilySpec, primes: list[int], jobs: int = 1):
-    """Yield entries in ascending-p order, optionally fanning out to workers."""
+    """Yield entries in ascending-p order, optionally fanning out to workers
+    that each take contiguous blocks of primes."""
     if not primes:
         return
     if needs_numpy(spec):
@@ -163,10 +194,11 @@ def iter_entries(spec: FamilySpec, primes: list[int], jobs: int = 1):
         return
     import multiprocessing as mp
 
+    # about 4 contiguous blocks per worker: one task pickles the spec once
+    # for a block, and the blocks still balance the workers' loads
+    chunk = -(-len(primes) // (4 * jobs))
     with mp.Pool(jobs) as pool:
-        yield from pool.imap(
-            _entry_worker, [(spec, p) for p in primes], chunksize=4
-        )
+        yield from pool.imap(_entry_worker, [(spec, p) for p in primes], chunksize=chunk)
 
 
 def _entry_worker(args) -> SeriesEntry:
@@ -247,5 +279,6 @@ def synthetic_entries(a_star: Fraction | int, t_max: int) -> list[SeriesEntry]:
     """Entries with a constant injected A*_p; estimator calibration helper."""
     a_star = Fraction(a_star)
     return [
-        SeriesEntry(p, a_star, 0, a_star) for p in primes_in_range(2, t_max)
+        SeriesEntry(p, a_star.numerator, a_star.denominator, 0)
+        for p in primes_in_range(2, t_max)
     ]

@@ -209,7 +209,8 @@ _BLANKS_RE = re.compile(r"\s|\b0+(?=\d)")
 MAX_POWER_DEGREE = 1024
 MAX_POWER_TERMS = 2**19
 # Largest number of term-by-term products that the products and powers of one
-# expression may take together, about a second of work.
+# expression, or of all the expressions of one family file, may take
+# together, about a second of work.
 MAX_EXPANSION_WORK = 4 * 10**6
 
 
@@ -225,6 +226,12 @@ def parse_poly(text: str, line: int = 0) -> BivarPoly:
     minus: x + -t^2 is x - t^2.  The ast.parse tree is folded leaves first,
     without recursion; any node outside this grammar raises ParseError.
     """
+    return _parse_poly(text, line, 0)[0]
+
+
+def _parse_poly(text: str, line: int, work: int) -> tuple[BivarPoly, int]:
+    """parse_poly after `work` term products spent elsewhere; the polynomial
+    and the work spent in all."""
     for bad in ("**", "#", "\0"):
         if bad in text:
             raise ParseError(f"unexpected {bad!r}", line, text.index(bad) + 1)
@@ -242,7 +249,6 @@ def parse_poly(text: str, line: int = 0) -> BivarPoly:
     except (RecursionError, MemoryError):
         raise ParseError("expression nested too deeply", line)
     value: dict[ast.expr, BivarPoly] = {}
-    work = 0
 
     def mul(f: BivarPoly, g: BivarPoly, node: ast.expr) -> BivarPoly:
         nonlocal work
@@ -286,7 +292,7 @@ def parse_poly(text: str, line: int = 0) -> BivarPoly:
         else:
             what = ast.get_source_segment(src, node).replace("**", "^")
             raise ParseError(f"unsupported term {what!r}", line, col(node.col_offset))
-    return value[body]
+    return value[body], work
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +511,11 @@ _FIBER_RE = re.compile(
 
 
 def parse_family(text: str) -> FamilySpec:
-    """Parse the line-oriented family file format; '#' starts a comment."""
+    """Parse the line-oriented family file format; '#' starts a comment.
+
+    The poly and trace curve expressions share one MAX_EXPANSION_WORK budget,
+    so the time to refuse a file does not grow with its number of lines."""
+    work = 0  # term products spent by the expressions so far
     name = None
     kind = None
     polys: list[BivarPoly] = []
@@ -530,7 +540,8 @@ def parse_family(text: str) -> FamilySpec:
         elif key == "kind":
             kind = rest
         elif key == "poly":
-            polys.append(parse_poly(rest, lineno))
+            poly, work = _parse_poly(rest, lineno, work)
+            polys.append(poly)
         elif key == "genus":
             try:
                 genus = int(rest)
@@ -541,7 +552,7 @@ def parse_family(text: str) -> FamilySpec:
             if rest == "none":
                 pass
             elif rest.startswith("curve "):
-                poly = parse_poly(rest[len("curve "):], lineno)
+                poly, work = _parse_poly(rest[len("curve "):], lineno, work)
                 if poly.deg_t > 0:
                     raise ParseError("trace curve must be a polynomial in x only", lineno)
                 coeffs = [0] * (poly.deg_x + 1)

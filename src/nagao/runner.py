@@ -6,7 +6,9 @@ resumed run reproduces a fresh run bit for bit.  Partial outputs are written
 atomically (write-then-rename); only the append-only ledger is streamed.
 Reading a complete ledger and the estimators load no numpy; the kernels come
 in with verify, or with the first prime to compute for a family that needs
-them (fiber_sum.needs_numpy), which no shipped family does.
+them (fiber_sum.needs_numpy), which no shipped family does.  A ledger row
+becomes an integer SeriesEntry and builds no Fraction; with --jobs N the
+primes to compute go to the workers in contiguous blocks, about 4 per worker.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from .accumulator import (
@@ -100,15 +101,7 @@ def atomic_write(path: Path, data: str) -> None:
 def entry_row(fam_hash: str, e: SeriesEntry) -> list[str]:
     if e.skipped:
         return [fam_hash, str(e.p), "", "", "", "1", e.reason]
-    return [
-        fam_hash,
-        str(e.p),
-        str(e.A_p.numerator),
-        str(e.A_p.denominator),
-        str(e.a_p_B),
-        "0",
-        "",
-    ]
+    return [fam_hash, str(e.p), str(e.num), str(e.den), str(e.a_p_B), "0", ""]
 
 
 def row_entry(row: list[str]) -> SeriesEntry:
@@ -120,7 +113,7 @@ def row_entry(row: list[str]) -> SeriesEntry:
     num, den, a_b = int(num), int(den), int(a_b)
     if den not in (1, p):  # A_p has denominator dividing p
         raise ValueError(f"A_p_den = {den} is neither 1 nor p = {p}")
-    return SeriesEntry(p, Fraction(num, den), a_b, Fraction(num - a_b * den, den))
+    return SeriesEntry(p, num, den, a_b)
 
 
 def _drop_torn_row(path: Path) -> None:
@@ -233,10 +226,8 @@ def run_pipeline(spec: FamilySpec, config: RunConfig) -> RunResult:
             fh.flush()
             new_entries.append(entry)
 
-    series = NagaoSeries(fam_hash)
-    for entry in existing + new_entries:
-        if entry.p <= config.t_max:
-            series.append(entry)
+    # load_ledger and the good-prime match above have checked the order
+    series = NagaoSeries(fam_hash, [e for e in existing + new_entries if e.p <= config.t_max])
     skipped = [e for e in series.entries if e.skipped]
     return RunResult(spec, fam_hash, series, out_dir, skipped)
 

@@ -42,27 +42,26 @@ class Form5Report:
     """Per-prime residuals tr(F_p | S) - A*_p, read as the implied b_p/p.
 
     Diagnostic only: b_p is never computed independently, so there is no
-    pass/fail semantics attached."""
+    pass/fail semantics attached.  terms holds (p, r, d), the residual r/d
+    in lowest terms; residuals builds the Fractions when read."""
 
-    residuals: tuple[tuple[int, Fraction], ...]
+    terms: tuple[tuple[int, int, int], ...]
     mean_abs: float
     max_abs: float
 
+    @property
+    def residuals(self) -> tuple[tuple[int, Fraction], ...]:
+        return tuple((p, Fraction(r, d)) for p, r, d in self.terms)
+
 
 def form5_diagnostic(series: NagaoSeries, config: FiberConfiguration) -> Form5Report:
-    residuals = []
-    abs_vals = []
-    for entry in series.entries:
-        if entry.skipped:
-            continue
-        n, d = entry.A_star.numerator, entry.A_star.denominator
-        r = trace_on_S(config, entry.p) * d - n  # r/d is in lowest terms, as n/d is
-        residuals.append((entry.p, Fraction(r, d)))
-        abs_vals.append(abs(r) / d)
-    if not residuals:
+    terms = []
+    for e in series.entries:
+        if not e.skipped:
+            # A*_p = (num - a_b d)/d, so r = tr d - num + a_b d; gcd(r, d) = gcd(num, d) = 1
+            d = e.den
+            terms.append((e.p, (trace_on_S(config, e.p) + e.a_p_B) * d - e.num, d))
+    if not terms:
         return Form5Report((), 0.0, 0.0)
-    return Form5Report(
-        tuple(residuals),
-        sum(abs_vals) / len(abs_vals),
-        max(abs_vals),
-    )
+    abs_vals = [abs(r) / d for _, r, d in terms]
+    return Form5Report(tuple(terms), sum(abs_vals) / len(abs_vals), max(abs_vals))

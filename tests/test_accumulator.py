@@ -1,7 +1,10 @@
 """Averaged traces, ledger entries, and the two rank estimators."""
 
+import csv
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,7 @@ from nagao.accumulator import (
 )
 from nagao.family_model import FiberConfiguration, FiberDescriptor, parse_m_rule
 from nagao.prime_field import make_field, primes_in_range
+from nagao.runner import LEDGER_FIELDS, entry_row, load_ledger, row_entry
 from nagao.shioda_tate import form5_diagnostic, trace_on_S
 
 
@@ -89,10 +93,10 @@ def test_good_primes_excludes_bad_set():
 
 def test_series_appends_must_ascend():
     series = NagaoSeries("abc")
-    series.append(SeriesEntry(3, Fraction(0), 0, Fraction(0)))
-    series.append(SeriesEntry(5, Fraction(0), 0, Fraction(0)))
+    series.append(SeriesEntry(3, 0, 1, 0))
+    series.append(SeriesEntry(5, 0, 1, 0))
     with pytest.raises(ValueError):
-        series.append(SeriesEntry(5, Fraction(0), 0, Fraction(0)))
+        series.append(SeriesEntry(5, 0, 1, 0))
 
 
 def test_compute_series_matches_per_prime_entries():
@@ -110,10 +114,20 @@ def test_compute_series_parallel_equals_serial():
     assert serial.entries == parallel.entries
 
 
+@pytest.mark.parametrize("n", [4, 5, 8 * 2 - 1, 8 * 2, 8 * 2 + 1])
+def test_pool_blocks_equal_serial(n):
+    """jobs=2 cuts the primes into about 4 * 2 blocks; prime counts just
+    under, on and over a block boundary give the serial entries."""
+    spec = load_shipped_family("shioda_g1")
+    t_max = good_primes(spec, 3, 200)[n - 1]
+    assert len(good_primes(spec, 3, t_max)) == n
+    assert compute_series(spec, t_max, jobs=2).entries == compute_series(spec, t_max, jobs=1).entries
+
+
 def test_cesaro_series_hand_computed():
     entries = [
-        SeriesEntry(3, Fraction(-1), 0, Fraction(-1)),
-        SeriesEntry(5, Fraction(-2), 0, Fraction(-2)),
+        SeriesEntry(3, -1, 1, 0),
+        SeriesEntry(5, -2, 1, 0),
         SeriesEntry(7, None, None, None, skipped=True, reason="x"),
     ]
     pts = cesaro_series(entries, [5, 10])
@@ -189,7 +203,7 @@ def ledgers(draw):
         den = draw(st.sampled_from([1, p]))
         a_p = Fraction(draw(st.integers(-5 * p, 5 * p)), den)
         a_b = draw(st.integers(-9, 9))
-        entries.append(SeriesEntry(p, a_p, a_b, a_p - a_b))
+        entries.append(SeriesEntry(p, a_p.numerator, a_p.denominator, a_b))
     return entries
 
 
@@ -228,6 +242,78 @@ def test_estimators_equal_the_fraction_formulas_bit_for_bit(entries, data):
     residuals = [(e.p, Fraction(trace_on_S(FORM5_CONFIG, e.p)) - e.A_star) for e in used]
     assert report.residuals == tuple(residuals)
     assert all(type(r) is Fraction for _, r in report.residuals)
+    abs_vals = [abs(float(r)) for _, r in residuals]
+    if abs_vals:
+        assert report.mean_abs == sum(abs_vals) / len(abs_vals)
+        assert report.max_abs == max(abs_vals)
+
+
+@st.composite
+def ledger_rows(draw):
+    """Ledger rows over the primes up to T: some skipped, A_p_den 1 or p,
+    numerators of either sign, zero and multiples of p among them."""
+    rows = []
+    for p in primes_in_range(3, draw(st.integers(3, 300))):
+        if draw(st.integers(0, 3)) == 0:
+            rows.append(["h", str(p), "", "", "", "1", "bad trace prime"])
+            continue
+        den = draw(st.sampled_from([1, p]))
+        num = draw(st.one_of(st.integers(-5 * p, 5 * p), st.integers(-5, 5).map(lambda k: k * p)))
+        rows.append(["h", str(p), str(num), str(den), str(draw(st.integers(-9, 9))), "0", ""])
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=ledger_rows(), data=st.data())
+def test_integer_records_equal_the_fraction_references(rows, data):
+    """Every output of the integer ledger record against exact Fractions
+    made from the raw row."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ledger.csv"
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows([LEDGER_FIELDS, *rows])
+        _, entries = load_ledger(path)
+    ref = []  # (p, A*_p) of each used row
+    for row, e in zip(rows, entries, strict=True):
+        if row[5] == "1":
+            assert e.skipped and e.A_p is None and e.A_star is None
+            assert entry_row("h", e) == row
+            continue
+        p, a_b = int(row[1]), int(row[4])
+        a_p = Fraction(int(row[2]), int(row[3]))
+        a_star = a_p - a_b
+        assert type(e.A_p) is Fraction and e.A_p == a_p
+        assert type(e.A_star) is Fraction and e.A_star == a_star
+        assert e.weight == float(-a_star) * math.log(p)
+        canonical = ["h", str(p), str(a_p.numerator), str(a_p.denominator), str(a_b), "0", ""]
+        assert entry_row("h", e) == canonical
+        ref.append((p, a_star))
+    for e in entries:
+        assert row_entry(entry_row("h", e)) == e
+
+    t_max = int(rows[-1][1]) if rows else 3
+    cps = sorted(set(data.draw(st.lists(st.integers(3, t_max), min_size=1, max_size=4))))
+    acc, idx = 0.0, 0
+    for pt in cesaro_series(entries, cps):
+        while idx < len(ref) and ref[idx][0] <= pt.T:
+            acc += float(-ref[idx][1]) * math.log(ref[idx][0])
+            idx += 1
+        assert pt.S_T == acc / pt.T
+
+    s_list = [1.5, *DEFAULT_S_GRID]
+    want = []
+    for s in s_list:
+        acc = 0.0
+        for p, a_star in ref:
+            acc += float(-a_star) * math.log(p) / p**s
+        want.append((s, (s - 1) * acc))
+    assert dirichlet_residue(entries, s_list, t_max) == want
+
+    report = form5_diagnostic(NagaoSeries("h", entries), FORM5_CONFIG)
+    residuals = tuple((p, trace_on_S(FORM5_CONFIG, p) - a_star) for p, a_star in ref)
+    assert report.residuals == residuals
+    assert all(type(r) is Fraction for _, r in report.residuals)
+    assert all(math.gcd(r, d) == 1 for _, r, d in report.terms)
     abs_vals = [abs(float(r)) for _, r in residuals]
     if abs_vals:
         assert report.mean_abs == sum(abs_vals) / len(abs_vals)

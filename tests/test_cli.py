@@ -243,8 +243,10 @@ def test_power_of_a_sum_above_the_bound_exits_1(tmp_path, family_file):
          "terms exceeds the bound"),
         ("poly x^3 - x + t^2", "poly x^3 - x + (x + t + 1)^500 - (x + t + 1)^500 + t^2",
          "term products"),
+        ("poly x^3 - x + t^2", "\n".join(["poly (x + t + 1)^70 - (x + t + 1)^70 + x^3 - x + t^2"] * 6),
+         "term products"),
     ],
-    ids=["badprimes_above_bound", "power_terms", "expansion_work"],
+    ids=["badprimes_above_bound", "power_terms", "expansion_work", "expansion_work_of_six_lines"],
 )
 def test_oversized_family_input_exits_1_quickly(tmp_path, family_file, old, new, message):
     fam = Path(family_file("shioda_g1"))

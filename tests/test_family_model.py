@@ -256,6 +256,15 @@ def test_power_terms_and_expansion_work_are_bounded():
     assert len(parse_poly("(x + t + 1)^40").terms) == 41 * 42 // 2
 
 
+def test_expansion_work_is_shared_by_the_lines_of_a_file():
+    heavy = "poly (x + t + 1)^70 - (x + t + 1)^70 + x^3 - x + t^2\n"
+    one = 'family "six"\nkind hyperelliptic\n' + heavy + "genus 1\ntrace none\ninfinity trace_zero\n"
+    assert parse_family(one).polys == (parse_poly("x^3 - x + t^2"),)  # one line fits the budget
+    with pytest.raises(ParseError, match="term products") as info:
+        parse_family(one.replace(heavy, heavy * 6))
+    assert 3 < info.value.line <= 8  # refused on a later poly line, not after all six
+
+
 def test_prime_factors_stop_at_the_bound():
     assert _prime_factors(-12) == ({2, 3}, 1)
     # a cofactor below the square of the next trial divisor is prime

@@ -1,5 +1,6 @@
 """Ledger persistence, resume semantics, verification oracles."""
 
+import csv
 import dataclasses
 import math
 from fractions import Fraction
@@ -7,12 +8,22 @@ from pathlib import Path
 
 import pytest
 
-from nagao import kernels, load_shipped_family, parse_family
-from nagao.accumulator import SeriesEntry, family_hash
+from nagao import accumulator, kernels, load_shipped_family, parse_family, runner, shioda_tate
+from nagao.accumulator import (
+    DEFAULT_S_GRID,
+    NagaoSeries,
+    SeriesEntry,
+    cesaro_series,
+    dirichlet_residue,
+    family_hash,
+    good_primes,
+)
 from nagao.fiber_trace import brute_force_affine
 from nagao.runner import (
+    LEDGER_FIELDS,
     LedgerMismatch,
     RunConfig,
+    RunResult,
     default_checkpoints,
     entry_row,
     load_ledger,
@@ -63,14 +74,49 @@ def test_default_checkpoints():
 
 
 def test_entry_row_round_trip():
-    e = SeriesEntry(11, Fraction(-7, 11), -1, Fraction(-7, 11) + 1)
+    e = SeriesEntry(11, -7, 11, -1)
     row = entry_row("h", e)
     parsed = row_entry(row)
-    assert parsed == SeriesEntry(11, Fraction(-7, 11), -1, Fraction(4, 11))
+    assert parsed == SeriesEntry(11, -7, 11, -1)
     skip = SeriesEntry(13, None, None, None, skipped=True, reason="why")
     row = entry_row("h", skip)
     parsed = row_entry(row)
     assert parsed == skip
+
+
+def test_ledger_read_and_estimators_build_no_fraction(tmp_path, monkeypatch):
+    spec = load_shipped_family("shioda_g1")  # declares fibers, so form5 runs
+    fam_hash = family_hash(spec)
+    rows = []
+    for i, p in enumerate(good_primes(spec, 3, 10**4)[:500]):
+        if i % 7 == 3:
+            rows.append([fam_hash, str(p), "", "", "", "1", "bad trace prime"])
+        else:
+            den = p if i % 2 else 1
+            rows.append([fam_hash, str(p), str(i - 250), str(den), str(i % 5 - 2), "0", ""])
+    with (tmp_path / "ledger.csv").open("w", newline="") as fh:
+        csv.writer(fh).writerows([LEDGER_FIELDS, *rows])
+
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    for module in (accumulator, runner, shioda_tate):
+        monkeypatch.setattr(module, "Fraction", CountingFraction, raising=False)
+    _, entries = load_ledger(tmp_path / "ledger.csv")
+    assert len(entries) == 500
+    cps = default_checkpoints(entries[-1].p)
+    cesaro_series(entries, cps)
+    dirichlet_residue(entries, DEFAULT_S_GRID, entries[-1].p)
+    skipped = [e for e in entries if e.skipped]
+    result = RunResult(spec, fam_hash, NagaoSeries(fam_hash, entries), tmp_path, skipped)
+    assert "form5_diagnostic" in summary_dict(result, cps)
+    assert built == []
+    assert entries[0].A_star == Fraction(-248)
+    assert built  # the entry reads the patched name
 
 
 def test_run_pipeline_writes_ledger(tmp_path):

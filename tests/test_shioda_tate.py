@@ -85,9 +85,9 @@ def test_form5_diagnostic_residuals():
         (FiberDescriptor("c", 2, 2, MRule(kind="const", m=2)),)
     )
     series = NagaoSeries("h")
-    series.append(SeriesEntry(3, Fraction(5, 2), 0, Fraction(5, 2)))
+    series.append(SeriesEntry(3, 5, 2, 0))
     series.append(SeriesEntry(5, None, None, None, skipped=True, reason="x"))
-    series.append(SeriesEntry(7, Fraction(3), 0, Fraction(3)))
+    series.append(SeriesEntry(7, 3, 1, 0))
     report = form5_diagnostic(series, config)
     # tr(F_p | S) = 3 for every p; residuals 3 - 5/2 = 1/2 and 3 - 3 = 0
     assert report.residuals == ((3, Fraction(1, 2)), (7, Fraction(0)))
