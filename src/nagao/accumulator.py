@@ -15,9 +15,9 @@ reduction, -A*_p log p computed once per entry from the integers and
 accumulated in fixed ascending-p order.
 
 The estimators read only the ledger, so this module loads the numpy-backed
-kernels only when a prime's trace is to be computed with them (needs_numpy):
-a chi_sum family whose character sums stay at degree <= 3, as every shipped
-family's do, never loads them.
+kernels only when a prime's trace is computed with them; a chi_sum family
+whose character sums stay at degree <= 3, as every shipped family's do, never
+loads them.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .family_model import (
     render_family,
     trace_curve_discriminants,
 )
-from .fiber_sum import needs_numpy, trace_sum
+from .fiber_sum import trace_sum
 from .fiber_trace import UnsupportedFiber
 from .prime_field import FieldCtx, make_field, primes_in_range
 
@@ -182,23 +182,24 @@ def compute_series(spec: FamilySpec, t_max: int, jobs: int = 1) -> NagaoSeries:
 
 def iter_entries(spec: FamilySpec, primes: list[int], jobs: int = 1):
     """Yield entries in ascending-p order, optionally fanning out to workers
-    that each take contiguous blocks of primes."""
-    if not primes:
-        return
-    if needs_numpy(spec):
-        from . import kernels  # noqa: F401 -- loads numpy once, before the pool forks
+    that each take contiguous blocks of primes.
 
+    With workers, the parent computes primes[0] first, so whatever that prime
+    imports (numpy and the kernels, for a family that needs them) is loaded
+    once, before the pool forks."""
     if jobs <= 1 or len(primes) < 4:
         for p in primes:
             yield compute_entry(spec, p)
         return
     import multiprocessing as mp
 
+    yield compute_entry(spec, primes[0])
+    rest = primes[1:]
     # about 4 contiguous blocks per worker: one task pickles the spec once
     # for a block, and the blocks still balance the workers' loads
-    chunk = -(-len(primes) // (4 * jobs))
+    chunk = -(-len(rest) // (4 * jobs))
     with mp.Pool(jobs) as pool:
-        yield from pool.imap(_entry_worker, [(spec, p) for p in primes], chunksize=chunk)
+        yield from pool.imap(_entry_worker, [(spec, p) for p in rest], chunksize=chunk)
 
 
 def _entry_worker(args) -> SeriesEntry:

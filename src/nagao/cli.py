@@ -145,6 +145,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:  # bad primes unknown up to --tmax
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # the prime sieve holds one byte per integer up to --tmax
+        print(f"error: out of memory at --tmax {config.t_max}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"error: cannot write to {config.out_dir}: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .prime_field import FieldCtx, is_prime, primes_in_range
+from .prime_field import FieldCtx, is_prime, legendre, primes_in_range
 
 
 class ParseError(ValueError):
@@ -165,18 +165,6 @@ class BivarPoly:
             else:
                 parts.append(("+ " if c > 0 else "- ") + text)
         return " ".join(parts)
-
-
-def kernel_name(polys: tuple[BivarPoly, ...]) -> str:
-    """The kernels.KERNELS entry that sums these covers, from the shape of F over Z."""
-    varying = [poly for poly in polys if poly.deg_t > 0]
-    if len(varying) > 1:
-        return "grid"
-    if not varying or varying[0].deg_t <= 2:
-        return "chi_sum"
-    if all(i == 0 or j == 0 for i, j, _ in varying[0].terms):
-        return "separable"
-    return "grid"
 
 
 def _dense(by_deg: dict[int, int]) -> tuple[int, ...]:
@@ -343,10 +331,7 @@ class MRule:
         if self.kind == "const":
             return self.m
         if self.kind == "chi":
-            chi = 0 if self.d % p == 0 else (
-                1 if pow(self.d % p, (p - 1) // 2, p) == 1 else -1
-            )
-            return self.m_yes if chi == self.want else self.m_no
+            return self.m_yes if legendre(self.d, p) == self.want else self.m_no
         if self.kind == "mod":
             return self.m_yes if p % self.mod == self.rem else self.m_no
         raise ValueError(f"unknown m-rule kind {self.kind}")

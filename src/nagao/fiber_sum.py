@@ -1,12 +1,13 @@
 """Sum of the fiber traces over P^1(F_p) for one prime, and its refusals.
 
-trace_sum runs the family's kernel (kernel_name) and adds the points over the
-two infinities.  The chi_sum kernel reduces the sum to a few character sums
-S(f) = sum_x chi(f(x)) (charsum) and root counts in F_p[x], so a chi_sum
-family whose sums stay at degree <= 3, as every shipped family's do,
-computes its traces without numpy.  The separable and grid kernels, and S(f)
-of degree >= 4, are in kernels, which is imported, and numpy with it, only
-where one of them is needed (needs_numpy).
+trace_sum runs the family's kernel and adds the points over the two
+infinities.  kernel_name picks the kernel from the shape of F over Z, so a
+family uses one kernel at every prime.  The chi_sum kernel reduces the sum to
+a few character sums S(f) = sum_x chi(f(x)) (charsum) and root counts in
+F_p[x], so a chi_sum family whose sums stay at degree <= 3, as every shipped
+family's do, computes its traces without numpy.  The separable and grid
+kernels, and S(f) of degree >= 4, are in kernels, which is imported, and
+numpy with it, the first time one of them runs.
 """
 
 from __future__ import annotations
@@ -20,11 +21,40 @@ from .family_model import (
     FamilySpec,
     bad_primes,
     fiber_at,
-    kernel_name,
     singular_locus_polys,
 )
 from .fiber_trace import UnsupportedFiber, component_count
 from .prime_field import FieldCtx, legendre
+
+
+def kernel_name(polys: tuple[BivarPoly, ...]) -> str:
+    """The kernels.KERNELS entry that sums these covers, from the shape of F over Z."""
+    varying = [poly for poly in polys if poly.deg_t > 0]
+    if len(varying) > 1:
+        return "grid"
+    if not varying or varying[0].deg_t <= 2:
+        return "chi_sum"
+    if all(i == 0 or j == 0 for i, j, _ in varying[0].terms):
+        return "separable"
+    return "grid"
+
+
+def split_covers(polys: tuple[BivarPoly, ...], p: int):
+    """(free, varying) mod p for covers of which at most one involves t.
+
+    free holds the covers without t as ascending-x tuples; varying holds the
+    t-coefficients (ascending-x tuples, indexed by t-degree) of the cover with
+    t, or is empty when no cover involves t.
+    """
+    free: list[tuple[int, ...]] = []
+    varying: list[tuple[int, ...]] = []
+    for poly in polys:
+        cs = [fp_poly.trim(c % p for c in cs) for cs in poly.t_coeff_polys()]
+        if poly.deg_t > 0:
+            varying = cs
+        else:
+            free.append(cs[0])
+    return free, varying
 
 
 def chi_sum(polys: tuple[BivarPoly, ...], ctx: FieldCtx) -> int:
@@ -48,14 +78,8 @@ def chi_sum(polys: tuple[BivarPoly, ...], ctx: FieldCtx) -> int:
     roots of D enters, so no root is split off.
     """
     p = ctx.p
-    free: list[tuple[int, ...]] = []
-    e = b = a = ()
-    for poly in polys:
-        cs = [fp_poly.trim(c % p for c in cs) for cs in poly.t_coeff_polys()]
-        if poly.deg_t > 0:
-            e, b, a = (cs + [(), ()])[:3]
-        else:
-            free.append(cs[0])
+    free, varying = split_covers(polys, p)
+    e, b, a = (varying + [(), (), ()])[:3]
     d = fp_poly.sub(fp_poly.mul(b, b, p), fp_poly.mul((4,), fp_poly.mul(a, e, p), p), p)
     if not free and len(a) == 1:  # the constant summand chi(a) = +-1
         r = fp_poly.deg(fp_poly.linear_part(d, p)) if d else p  # D = 0: every x
@@ -82,30 +106,6 @@ def chi_sum(polys: tuple[BivarPoly, ...], ctx: FieldCtx) -> int:
         total += p * (w_chi_at_roots(a, d) if d else sum_a)
     total += p * (w_chi_at_roots(e, fp_poly.gcd(a, b, p)) if a or b else w_sum(e))
     return total
-
-
-def needs_numpy(spec: FamilySpec) -> bool:
-    """Whether computing a prime's entry may load numpy: a kernel other than
-    chi_sum, or an S(f) of degree >= 4, bounded by the degrees over Z.
-
-    chi_sum needs S of the products of the covers without t, times a (unless
-    the constant-summand case applies at every prime, a = +-1 with no such
-    cover), times e where a and b can vanish together mod p; trace_correction
-    needs S of each trace curve.  A t-degree <= 2 leading x-coefficient is at
-    most quadratic."""
-    if kernel_name(spec.polys) != "chi_sum":
-        return True
-    free = [poly for poly in spec.polys if poly.deg_t <= 0]
-    deg_free = sum(poly.deg_x for poly in free)
-    degs = [deg_free] + [len(curve) - 1 for curve in spec.trace.curves]
-    for poly in spec.polys:
-        if poly.deg_t > 0:
-            e, b, a = (poly.t_coeff_polys() + [(), ()])[:3]
-            if free or a not in ((1,), (-1,)):
-                degs.append(deg_free + len(a) - 1)
-            if math.gcd(*a, *b) != 1:
-                degs.append(deg_free + len(e) - 1)
-    return max(degs) >= 4
 
 
 def require_good(spec: FamilySpec, p: int) -> None:

@@ -1,8 +1,9 @@
 """The numpy kernels, the O(p^2) grid oracle and the O(p) character sums.
 
-trace_sum (fiber_sum) needs, for each prime p, sum_c N_affine(c) over the
-finite c, and gets it from one of three exact kernels.  kernel_name picks it
-from the shape of F over Z, so a family uses one kernel at every prime:
+trace_sum needs, for each prime p, sum_c N_affine(c) over the finite c, and
+gets it from one of three exact kernels (KERNELS).  kernel_name picks it from
+the shape of F over Z; both are in fiber_sum, which imports this module, and
+numpy with it, the first time a prime needs a kernel or a sum from here:
 
 - chi_sum (fiber_sum): at most one cover involves t, with t-degree <= 2.
   The sum reduces to character sums S(f) and root counts in F_p[x]; S(f) of
@@ -31,14 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fp_poly
-from .family_model import BivarPoly, FamilySpec, kernel_name  # noqa: F401 -- kernel_name re-exported
-from .fiber_sum import (  # noqa: F401 -- singular_c_values and trace_sum re-exported
-    chi_sum,
-    refused,
-    require_good,
-    singular_c_values,
-    trace_sum,
-)
+from .family_model import BivarPoly, FamilySpec
+from .fiber_sum import chi_sum, refused, require_good, singular_c_values, split_covers
 from .fiber_trace import UnsupportedFiber
 from .prime_field import FieldCtx
 
@@ -144,25 +139,6 @@ def affine_counts(spec: FamilySpec, ctx: FieldCtx) -> np.ndarray:
     return _chi_grid_sums(spec.polys, ctx)
 
 
-def _split_covers(polys: tuple[BivarPoly, ...], ctx: FieldCtx):
-    """(weight, varying) for covers of which at most one involves t.
-
-    weight[x] = prod over the covers without t of 1 + chi(F_i(x)); varying
-    holds the t-coefficients mod p (ascending-x tuples, indexed by t-degree)
-    of the cover with t, or is None when no cover involves t.
-    """
-    p = ctx.p
-    weight = np.ones(p, dtype=np.int64)
-    varying = None
-    for poly in polys:
-        t_coeffs = [fp_poly.trim(c % p for c in cs) for cs in poly.t_coeff_polys()]
-        if poly.deg_t > 0:
-            varying = t_coeffs
-        else:
-            weight *= 1 + _chi_at_all_x(t_coeffs[0], ctx)
-    return weight, varying
-
-
 def _separable(polys: tuple[BivarPoly, ...], ctx: FieldCtx) -> int:
     """sum_c N_affine(c) when the cover with t is G(x) + H(t).
 
@@ -175,7 +151,10 @@ def _separable(polys: tuple[BivarPoly, ...], ctx: FieldCtx) -> int:
     from numpy import fft  # only families of this shape load it
 
     p = ctx.p
-    weight, varying = _split_covers(polys, ctx)
+    free, varying = split_covers(polys, p)
+    weight = np.ones(p, dtype=np.int64)
+    for g in free:
+        weight *= 1 + _chi_at_all_x(g, ctx)
     xs = np.arange(p, dtype=np.int64)
     h_coeffs = (0,) + tuple(cs[0] if cs else 0 for cs in varying[1:])
     hist_g = np.bincount(_horner_vec(varying[0], xs, p), weights=weight, minlength=p)

@@ -5,10 +5,11 @@ of persistence: series and residue files are pure functions of it, so a
 resumed run reproduces a fresh run bit for bit.  Partial outputs are written
 atomically (write-then-rename); only the append-only ledger is streamed.
 Reading a complete ledger and the estimators load no numpy; the kernels come
-in with verify, or with the first prime to compute for a family that needs
-them (fiber_sum.needs_numpy), which no shipped family does.  A ledger row
-becomes an integer SeriesEntry and builds no Fraction; with --jobs N the
-primes to compute go to the workers in contiguous blocks, about 4 per worker.
+in with verify, or with the first prime whose trace needs them, which no
+shipped family's does.  A ledger row becomes an integer SeriesEntry and
+builds no Fraction; with --jobs N the parent computes the first prime to
+compute, and the rest go to the workers in contiguous blocks, about 4 per
+worker.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .accumulator import (
     good_primes,
     iter_entries,
 )
-from .family_model import FamilySpec, bad_primes, fiber_at, kernel_name
+from .family_model import FamilySpec, bad_primes, fiber_at
+from .fiber_sum import kernel_name
 from .fiber_trace import (
     UnsupportedFiber,
     brute_force_affine,
@@ -108,7 +110,11 @@ def row_entry(row: list[str]) -> SeriesEntry:
     """The entry of one ledger row, its fields in LEDGER_FIELDS order."""
     _, p, num, den, a_b, skipped, reason = row
     p = int(p)
-    if skipped == "1":
+    if skipped != "0":
+        if skipped != "1":
+            raise ValueError(f"skipped = {skipped!r} is neither 0 nor 1")
+        if num or den or a_b:
+            raise ValueError("a skipped row has A_p_num, A_p_den or a_p_B")
         return SeriesEntry(p, None, None, None, skipped=True, reason=reason)
     num, den, a_b = int(num), int(den), int(a_b)
     if den not in (1, p):  # A_p has denominator dividing p
@@ -290,38 +296,21 @@ class VerifyCheck:
 
 def verify_family(spec: FamilySpec, p_max: int = 23) -> list[VerifyCheck]:
     """Cross-check the grid against enumeration, and trace_sum against the
-    grid, for every good p <= p_max."""
-    from .kernels import (
-        affine_counts,
-        fiber_arrays,
-        grid_trace_sum,
-        singular_c_values,
-        trace_sum,
-    )
+    grid, for every good p <= p_max.  Each check reports its first mismatch,
+    in ascending p and then c."""
+    from .fiber_sum import trace_sum
+    from .kernels import affine_counts, fiber_arrays, grid_trace_sum, singular_c_values
 
-    checks: list[VerifyCheck] = []
-    bad = bad_primes(spec)
-    primes = [p for p in primes_in_range(3, p_max) if p not in bad]
+    name = kernel_name(spec.polys)
 
-    ok = True
-    detail = ""
-    for p in primes:
-        ctx = make_field(p)
-        counts = affine_counts(spec, ctx)
+    def counts(p, ctx):
+        got = affine_counts(spec, ctx)
         for c in range(p):
             want = brute_force_affine(p, fiber_at(spec, ctx, c).polys)
-            if counts[c] != want:
-                ok = False
-                detail = f"p={p}, c={c}: kernel {counts[c]} != enumeration {want}"
-                break
-        if not ok:
-            break
-    checks.append(VerifyCheck(f"affine_counts: exhaustive match (p <= {p_max})", ok, detail))
+            if got[c] != want:
+                return f"p={p}, c={c}: kernel {got[c]} != enumeration {want}"
 
-    ok = True
-    detail = ""
-    for p in primes:
-        ctx = make_field(p)
+    def traces(p, ctx):
         arrays = fiber_arrays(spec, ctx)
         refused = {u.c for u in arrays.unsupported}
         for c in range(p):
@@ -331,46 +320,33 @@ def verify_family(spec: FamilySpec, p_max: int = 23) -> list[VerifyCheck]:
                 want = "unsupported"
             got = "unsupported" if c in refused else int(arrays.a[c])
             if got != want:
-                ok = False
-                detail = f"p={p}, c={c}: fiber_arrays {got} != fiber_trace {want}"
-                break
+                return f"p={p}, c={c}: fiber_arrays {got} != fiber_trace {want}"
             if not arrays.singular[c] and abs(got) > weil_bound(spec.genus, p):
-                ok = False
-                detail = f"p={p}, c={c}: |a| = {abs(got)} exceeds 2g sqrt(p)"
-                break
-        if not ok:
-            break
-    checks.append(
-        VerifyCheck(f"fiber_arrays: match fiber_trace, Weil bound (p <= {p_max})", ok, detail)
-    )
+                return f"p={p}, c={c}: |a| = {abs(got)} exceeds 2g sqrt(p)"
 
-    ok = True
-    detail = ""
-    for p in primes:
-        ctx = make_field(p)
+    def locus(p, ctx):
         via_resultant = set(int(c) for c in singular_c_values(spec, ctx))
         via_gcd = discriminant_locus(spec, ctx)
         if via_resultant != via_gcd:
-            ok = False
-            detail = f"p={p}: resultant locus {sorted(via_resultant)} != gcd locus {sorted(via_gcd)}"
-            break
-    checks.append(
-        VerifyCheck(f"discriminant locus: resultant vs gcd (p <= {p_max})", ok, detail)
-    )
+            return f"p={p}: resultant locus {sorted(via_resultant)} != gcd locus {sorted(via_gcd)}"
 
-    ok = True
-    detail = ""
-    for p in primes:
-        ctx = make_field(p)
+    def sums(p, ctx):
         got, refused = trace_sum(spec, ctx)
         got = (got, [u.c for u in refused])
         want, refused = grid_trace_sum(spec, ctx)
         want = (want, [u.c for u in refused])
         if got != want:
-            ok = False
-            detail = f"p={p}: {kernel_name(spec.polys)} (sum, refused c) {got} != grid {want}"
-            break
-    checks.append(
-        VerifyCheck(f"trace_sum: {kernel_name(spec.polys)} equals grid (p <= {p_max})", ok, detail)
-    )
+            return f"p={p}: {name} (sum, refused c) {got} != grid {want}"
+
+    bad = bad_primes(spec)
+    primes = [p for p in primes_in_range(3, p_max) if p not in bad]
+    checks: list[VerifyCheck] = []
+    for title, check in (
+        ("affine_counts: exhaustive match", counts),
+        ("fiber_arrays: match fiber_trace, Weil bound", traces),
+        ("discriminant locus: resultant vs gcd", locus),
+        (f"trace_sum: {name} equals grid", sums),
+    ):
+        detail = next(filter(None, (check(p, make_field(p)) for p in primes)), "")
+        checks.append(VerifyCheck(f"{title} (p <= {p_max})", not detail, detail))
     return checks

@@ -55,12 +55,16 @@ class Form5Report:
 
 
 def form5_diagnostic(series: NagaoSeries, config: FiberConfiguration) -> Form5Report:
+    """trace_on_S at every prime, with the const m-rules summed once."""
+    rules = [fd.m_rule for fd in config.fibers]
+    fixed = 2 + sum(r.m - 1 for r in rules if r.kind == "const")
+    rules = [r for r in rules if r.kind != "const"]
     terms = []
     for e in series.entries:
         if not e.skipped:
             # A*_p = (num - a_b d)/d, so r = tr d - num + a_b d; gcd(r, d) = gcd(num, d) = 1
-            d = e.den
-            terms.append((e.p, (trace_on_S(config, e.p) + e.a_p_B) * d - e.num, d))
+            d, tr = e.den, fixed + sum(r.value(e.p) - 1 for r in rules)
+            terms.append((e.p, (tr + e.a_p_B) * d - e.num, d))
     if not terms:
         return Form5Report((), 0.0, 0.0)
     abs_vals = [abs(r) / d for _, r, d in terms]

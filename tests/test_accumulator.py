@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nagao import load_shipped_family
+from nagao import accumulator, kernels, load_shipped_family, parse_family
 from nagao.accumulator import (
     DEFAULT_S_GRID,
     DomainError,
@@ -23,12 +23,14 @@ from nagao.accumulator import (
     dirichlet_residue,
     family_hash,
     good_primes,
+    iter_entries,
     reduced_average_trace,
     synthetic_entries,
     trace_correction,
     variant_average,
 )
 from nagao.family_model import FiberConfiguration, FiberDescriptor, parse_m_rule
+from nagao.fiber_sum import kernel_name
 from nagao.prime_field import make_field, primes_in_range
 from nagao.runner import LEDGER_FIELDS, entry_row, load_ledger, row_entry
 from nagao.shioda_tate import form5_diagnostic, trace_on_S
@@ -114,14 +116,47 @@ def test_compute_series_parallel_equals_serial():
     assert serial.entries == parallel.entries
 
 
-@pytest.mark.parametrize("n", [4, 5, 8 * 2 - 1, 8 * 2, 8 * 2 + 1])
+@pytest.mark.parametrize("n", [4, 5, 8 * 2 - 1, 8 * 2, 8 * 2 + 1, 8 * 2 + 2])
 def test_pool_blocks_equal_serial(n):
-    """jobs=2 cuts the primes into about 4 * 2 blocks; prime counts just
-    under, on and over a block boundary give the serial entries."""
+    """jobs=2 computes the first prime in the parent and cuts the other
+    n - 1 into about 4 * 2 blocks; prime counts just under, on and over a
+    block boundary give the serial entries."""
     spec = load_shipped_family("shioda_g1")
     t_max = good_primes(spec, 3, 200)[n - 1]
     assert len(good_primes(spec, 3, t_max)) == n
     assert compute_series(spec, t_max, jobs=2).entries == compute_series(spec, t_max, jobs=1).entries
+
+
+# multicover_ex2's covers with a t^2 x added to the cover with t: chi_sum,
+# and S(a G) = S(x (x-2)(x-3)(x-5)) of degree 4 comes from table_char_sum
+T2_MULTICOVER = """\
+family "t2_multicover"
+kind multicover
+poly (x-2)*(x-3)*(x-5)
+poly x*(x-1)*(x-t) + x*t^2
+genus 4
+trace curve (x-2)*(x-3)*(x-5)
+infinity affine_plus 2 1
+"""
+
+
+def test_pool_computes_the_first_prime_in_the_parent(monkeypatch):
+    """With workers, the parent computes primes[0] alone, so what it imports
+    (here numpy, for table_char_sum) is loaded before the pool forks."""
+    spec = parse_family(T2_MULTICOVER)
+    assert kernel_name(spec.polys) == "chi_sum"
+    primes = good_primes(spec, 3, 200)
+    want = list(iter_entries(spec, primes, jobs=1))
+    calls, tables = [], []
+    compute, table = accumulator.compute_entry, kernels.table_char_sum
+    monkeypatch.setattr(accumulator, "compute_entry",
+                        lambda spec, p: calls.append(p) or compute(spec, p))
+    monkeypatch.setattr(kernels, "table_char_sum",
+                        lambda f, ctx: tables.append(f) or table(f, ctx))
+    got = list(iter_entries(spec, primes, jobs=2))
+    assert calls == [primes[0]]
+    assert tables, "the first prime does not reach table_char_sum"
+    assert got == want
 
 
 def test_cesaro_series_hand_computed():

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import nagao
+from nagao import accumulator
 from nagao.cli import main
 from nagao.family_model import FACTOR_BOUND, MAX_DEGREE, MAX_POWER_DEGREE
 
@@ -321,6 +322,16 @@ def _missing_field_row_3(lines):
     lines[3] = lines[3][:lines[3].rindex(b",")] + b"\r\n"
 
 
+def _skipped_flag_yes_row_3(lines):
+    assert lines[3].endswith(b",0,\r\n")
+    lines[3] = lines[3][:-len(b",0,\r\n")] + b",yes,why\r\n"
+
+
+def _skipped_row_3_keeps_its_numbers(lines):
+    assert lines[3].endswith(b",0,\r\n")
+    lines[3] = lines[3][:-len(b",0,\r\n")] + b",1,\r\n"
+
+
 @pytest.mark.parametrize(
     "corrupt, where",
     [
@@ -332,6 +343,8 @@ def _missing_field_row_3(lines):
         (_foreign_hash_row_3, "row 3 is malformed (ValueError: family hash deadbeefdeadbeef"),
         (_extra_field_row_3, "row 3 is malformed (ValueError: 8 fields, not 7)"),
         (_missing_field_row_3, "row 3 is malformed (ValueError: 6 fields, not 7)"),
+        (_skipped_flag_yes_row_3, "row 3 is malformed (ValueError: skipped = 'yes' is neither"),
+        (_skipped_row_3_keeps_its_numbers, "row 3 is malformed (ValueError: a skipped row has"),
     ],
 )
 def test_resume_with_inconsistent_ledger_exits_2(tmp_path, family_file, capsys, corrupt, where):
@@ -347,6 +360,21 @@ def test_resume_with_inconsistent_ledger_exits_2(tmp_path, family_file, capsys, 
     err = capsys.readouterr().err
     assert where in err and "Traceback" not in err
     assert ledger.read_bytes() == b"".join(lines)
+
+
+def test_sieve_out_of_memory_exits_1(tmp_path, family_file, capsys, monkeypatch):
+    """A --tmax whose prime sieve does not fit in memory is an error, not a
+    traceback; the sieve's MemoryError is simulated, nothing is allocated."""
+
+    def no_memory(lo, hi):
+        raise MemoryError
+
+    monkeypatch.setattr(accumulator, "primes_in_range", no_memory)
+    rc = main(["run", "--family", family_file("shioda_g1"), "--tmax", "100000000000",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory at --tmax 100000000000\n"
 
 
 def test_resume_series_bitwise_identical(tmp_path, family_file):

@@ -24,15 +24,13 @@ from nagao.fiber_trace import (
     discriminant_locus,
     fiber_trace,
 )
+from nagao.fiber_sum import chi_sum, kernel_name, trace_sum
 from nagao.kernels import (
     KERNELS,
     affine_counts,
-    chi_sum,
     fiber_arrays,
     grid_trace_sum,
-    kernel_name,
     singular_c_values,
-    trace_sum,
     univariate_curve_trace,
 )
 from nagao.prime_field import make_field, primes_in_range

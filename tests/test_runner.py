@@ -8,7 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from nagao import accumulator, kernels, load_shipped_family, parse_family, runner, shioda_tate
+from nagao import (
+    accumulator,
+    fiber_sum,
+    kernels,
+    load_shipped_family,
+    parse_family,
+    runner,
+    shioda_tate,
+)
 from nagao.accumulator import (
     DEFAULT_S_GRID,
     NagaoSeries,
@@ -221,13 +229,13 @@ def test_verify_family_checks_the_run_trace_path(monkeypatch):
 
 
 def test_verify_family_checks_trace_sum(monkeypatch):
-    kernel = kernels.trace_sum
+    kernel = fiber_sum.trace_sum
 
     def off_by_one(spec, ctx):
         total, refused = kernel(spec, ctx)
         return total + 1, refused
 
-    monkeypatch.setattr(kernels, "trace_sum", off_by_one)
+    monkeypatch.setattr(fiber_sum, "trace_sum", off_by_one)
     checks = verify_family(load_shipped_family("multicover_ex2"), p_max=7)
     assert checks[3].name == "trace_sum: chi_sum equals grid (p <= 7)"
     assert not checks[3].passed
@@ -236,8 +244,8 @@ def test_verify_family_checks_trace_sum(monkeypatch):
 
 
 def test_verify_family_checks_trace_sum_refusals(monkeypatch):
-    kernel = kernels.trace_sum
-    monkeypatch.setattr(kernels, "trace_sum", lambda spec, ctx: (kernel(spec, ctx)[0], []))
+    kernel = fiber_sum.trace_sum
+    monkeypatch.setattr(fiber_sum, "trace_sum", lambda spec, ctx: (kernel(spec, ctx)[0], []))
     spec = parse_family(
         'family "x_degree_drop"\nkind hyperelliptic\npoly t*x^3 + x^2 + 1\n'
         "genus 1\ntrace none\ninfinity trace_zero\n"

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from nagao import load_shipped_family
 from nagao.accumulator import NagaoSeries, SeriesEntry
+from nagao.prime_field import primes_in_range
 from nagao.family_model import FiberConfiguration, FiberDescriptor, MRule
 from nagao.shioda_tate import (
     form5_diagnostic,
@@ -110,3 +111,41 @@ def test_shipped_shioda_g1_config_consistency():
     # Shioda-Tate with geometric NS rank 4 for this rational elliptic surface:
     # rank_MW = 2 matches the averaged-trace limit the estimator converges to
     assert ns_rank(2, config) == 4
+
+
+def test_chi_rule_follows_the_squares_mod_p():
+    """chi(d) from the squares mod p, 0 when p divides d."""
+    for p in (3, 5, 7, 11, 13):
+        squares = {x * x % p for x in range(1, p)}
+        for d in range(-2 * p, 2 * p + 1):
+            chi = 0 if d % p == 0 else (1 if d % p in squares else -1)
+            for want in (1, -1, 0):
+                rule = MRule(kind="chi", d=d, want=want, m_yes=2, m_no=1)
+                assert rule.value(p) == (2 if chi == want else 1)
+
+
+def test_form5_diagnostic_matches_per_prime_trace_on_S():
+    """form5_diagnostic sums the const m-rules once; its residuals, mean and
+    max equal those of trace_on_S at every prime, on configs that mix the
+    const, chi and mod rules."""
+    rng = random.Random(14)
+    primes = primes_in_range(3, 400)
+    mixed = 0
+    for _ in range(200):
+        config = random_config(rng)
+        mixed += {fd.m_rule.kind for fd in config.fibers} == {"const", "chi", "mod"}
+        series = NagaoSeries("h")
+        for p in primes:
+            if rng.random() < 0.2:
+                series.append(SeriesEntry(p, None, None, None, skipped=True, reason="x"))
+            else:
+                num, den = rng.randint(-5 * p, 5 * p), rng.choice([1, p])
+                series.append(SeriesEntry(p, num, den, rng.randint(-9, 9)))
+        report = form5_diagnostic(series, config)
+        residuals = tuple((e.p, trace_on_S(config, e.p) - e.A_star)
+                          for e in series.entries if not e.skipped)
+        assert report.residuals == residuals
+        abs_vals = [abs(float(r)) for _, r in residuals]
+        assert report.mean_abs == sum(abs_vals) / len(abs_vals)
+        assert report.max_abs == max(abs_vals)
+    assert mixed
