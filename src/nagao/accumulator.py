@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .family_model import (
     FamilySpec,
@@ -34,8 +34,7 @@ from .family_model import (
     render_family,
     trace_curve_discriminants,
 )
-from .fiber_sum import trace_sum
-from .fiber_trace import UnsupportedFiber
+from .fiber_sum import UnsupportedFiber, trace_sum
 from .prime_field import FieldCtx, make_field, primes_in_range
 
 
@@ -93,12 +92,12 @@ class SeriesEntry:
         return None if self.skipped else Fraction(self.num - self.a_p_B * self.den, self.den)
 
 
-@dataclass
 class NagaoSeries:
     """Ordered per-prime ledger for one family."""
 
-    family_hash: str
-    entries: list[SeriesEntry] = field(default_factory=list)
+    def __init__(self, family_hash: str, entries: list[SeriesEntry] | None = None) -> None:
+        self.family_hash = family_hash
+        self.entries = [] if entries is None else entries
 
     def append(self, entry: SeriesEntry) -> None:
         if self.entries and entry.p <= self.entries[-1].p:
@@ -135,11 +134,6 @@ def average_trace(spec: FamilySpec, ctx: FieldCtx) -> Fraction:
     if unsupported:
         raise unsupported[0]
     return Fraction(total, ctx.p)
-
-
-def reduced_average_trace(spec: FamilySpec, ctx: FieldCtx) -> Fraction:
-    """A*_p = A_p - a_p(B)."""
-    return average_trace(spec, ctx) - trace_correction(spec, ctx)
 
 
 def variant_average(spec: FamilySpec, ctx: FieldCtx) -> Fraction:
@@ -207,8 +201,7 @@ def _entry_worker(args) -> SeriesEntry:
     return compute_entry(spec, p)
 
 
-@dataclass(frozen=True)
-class SeriesPoint:
+class SeriesPoint(NamedTuple):
     T: int
     S_T: float
     n_primes: int
@@ -268,7 +261,10 @@ def dirichlet_residue(
     for s in s_list:
         acc = 0.0
         for p, w in terms:
-            acc += w / p**s
+            try:
+                acc += w / p**s
+            except OverflowError:  # p^s beyond the floats: the term is 0 or subnormal
+                acc += w * p**-s
         out.append((s, (s - 1) * acc))
     return out
 

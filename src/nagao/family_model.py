@@ -13,8 +13,8 @@ import ast
 import functools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .prime_field import FieldCtx, is_prime, legendre, primes_in_range
 
@@ -47,14 +47,26 @@ INFINITY = "inf"  # marker for the point at infinity of P^1
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BivarPoly:
     """Integer polynomial in x and t, stored as sorted ((i, j), coeff) terms.
 
     i is the x-degree, j the t-degree; zero coefficients are never stored.
+    A value: equal and hashed by its terms, which are not to be reassigned.
     """
 
-    terms: tuple[tuple[int, int, int], ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[int, int, int], ...]) -> None:
+        self.terms = terms
+
+    def __eq__(self, other) -> bool:
+        return type(other) is BivarPoly and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
+
+    def __repr__(self) -> str:
+        return f"BivarPoly({self.terms!r})"
 
     @staticmethod
     def from_dict(coeffs: dict[tuple[int, int], int]) -> "BivarPoly":
@@ -73,9 +85,6 @@ class BivarPoly:
     @property
     def deg_t(self) -> int:
         return max((j for _, j, _ in self.terms), default=-1)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
         d = self.as_dict()
@@ -96,19 +105,6 @@ class BivarPoly:
                 key = (i1 + i2, j1 + j2)
                 d[key] = d.get(key, 0) + c1 * c2
         return BivarPoly.from_dict(d)
-
-    def __pow__(self, n: int) -> "BivarPoly":
-        if n < 0:
-            raise ValueError("negative exponent")
-        out = BivarPoly.from_dict({(0, 0): 1})
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:  # the square after the last bit would go unused
-                base = base * base
-        return out
 
     def dx(self) -> "BivarPoly":
         """Partial derivative with respect to x."""
@@ -200,6 +196,11 @@ MAX_POWER_TERMS = 2**19
 # expression, or of all the expressions of one family file, may take
 # together, about a second of work.
 MAX_EXPANSION_WORK = 4 * 10**6
+# Largest log2 |c| of a coefficient that a product or a power may build,
+# checked before the integer is built: 2^14000 has 4215 digits, so render can
+# still write every coefficient within Python's 4300-digit int-to-str limit,
+# which already bounds a literal.
+MAX_COEFF_BITS = 14_000
 
 
 def parse_poly(text: str, line: int = 0) -> BivarPoly:
@@ -208,7 +209,10 @@ def parse_poly(text: str, line: int = 0) -> BivarPoly:
     power of a sum whose x- or t-degree would exceed MAX_POWER_DEGREE, or
     whose expansion could exceed MAX_POWER_TERMS terms, raises ParseError
     before it is expanded, and so does a product once the expression's
-    products exceed MAX_EXPANSION_WORK term products in all.
+    products exceed MAX_EXPANSION_WORK term products in all.  So does a
+    product, or a power of one term, whose coefficients could exceed
+    2^MAX_COEFF_BITS: log2 |c| adds up over the factors of a product and is
+    k log2 |c| for c^k.
 
     ^ is read as ** and precedence is Python's, so ^ binds tighter than unary
     minus: x + -t^2 is x - t^2.  The ast.parse tree is folded leaves first,
@@ -238,12 +242,18 @@ def _parse_poly(text: str, line: int, work: int) -> tuple[BivarPoly, int]:
         raise ParseError("expression nested too deeply", line)
     value: dict[ast.expr, BivarPoly] = {}
 
+    def check_size(log2_size: float, node: ast.expr) -> None:
+        if log2_size > MAX_COEFF_BITS:
+            raise ParseError(f"coefficient of up to 2^{math.ceil(log2_size)} exceeds the bound "
+                             f"2^{MAX_COEFF_BITS}", line, col(node.col_offset))
+
     def mul(f: BivarPoly, g: BivarPoly, node: ast.expr) -> BivarPoly:
         nonlocal work
         work += len(f.terms) * len(g.terms)
         if work > MAX_EXPANSION_WORK:
             raise ParseError(f"expansion exceeds the bound of {MAX_EXPANSION_WORK} term products",
                              line, col(node.col_offset))
+        check_size(_log2_size(f) + _log2_size(g), node)
         return f * g
 
     for node in reversed(list(ast.walk(body))):  # every child before its parent
@@ -263,6 +273,8 @@ def _parse_poly(text: str, line: int, work: int) -> tuple[BivarPoly, int]:
             if len(base.terms) > 1 and (dx * k + 1) * (dt * k + 1) > MAX_POWER_TERMS:
                 raise ParseError(f"power of up to {(dx * k + 1) * (dt * k + 1)} terms exceeds "
                                  f"the bound {MAX_POWER_TERMS}", line, col(node.col_offset))
+            if len(base.terms) == 1:
+                check_size(k * _log2_size(base), node)
             out = _ONE
             while k:  # square and multiply from the low bit
                 if k & 1:
@@ -283,13 +295,17 @@ def _parse_poly(text: str, line: int, work: int) -> tuple[BivarPoly, int]:
     return value[body], work
 
 
+def _log2_size(f: BivarPoly) -> float:
+    """log2 of the largest |coefficient| of f; 0 for f = 0."""
+    return max((math.log2(abs(c)) for _, _, c in f.terms), default=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Family specification
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InfinityRule:
+class InfinityRule(NamedTuple):
     """How the fiber over t = infinity (and, for affine_plus, every finite
     fiber's completion) is handled: trace_zero for a single cover,
     affine_plus for a multicover."""
@@ -299,8 +315,7 @@ class InfinityRule:
     m: int = 1
 
 
-@dataclass(frozen=True)
-class TraceSpec:
+class TraceSpec(NamedTuple):
     """Constant part of the Jacobian, as a product of Jacobians of explicit
     curves y^2 = G_i(x) over Q; empty tuple means trivial trace."""
 
@@ -310,8 +325,7 @@ class TraceSpec:
         return not self.curves
 
 
-@dataclass(frozen=True)
-class MRule:
+class MRule(NamedTuple):
     """Rational-component count of a singular fiber as a function of p.
 
     kinds: const m; 'chi': m_yes if chi_p(d) == want else m_no;
@@ -337,16 +351,14 @@ class MRule:
         raise ValueError(f"unknown m-rule kind {self.kind}")
 
 
-@dataclass(frozen=True)
-class FiberDescriptor:
+class FiberDescriptor(NamedTuple):
     label: str
     n: int
     orbits: int
     m_rule: MRule
 
 
-@dataclass(frozen=True)
-class FiberConfiguration:
+class FiberConfiguration(NamedTuple):
     """Declared combinatorics of the singular fibers: total geometric
     components n_c, Galois orbit counts, and per-prime rational-component
     rules.  User-declared, never inferred from point counts."""
@@ -354,8 +366,7 @@ class FiberConfiguration:
     fibers: tuple[FiberDescriptor, ...] = ()
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     name: str
     kind: str  # hyperelliptic | multicover | constant
     polys: tuple[BivarPoly, ...]
@@ -366,8 +377,7 @@ class FamilySpec:
     fiber_config: FiberConfiguration | None = None
 
 
-@dataclass(frozen=True)
-class FiberModel:
+class FiberModel(NamedTuple):
     """Specialization of the family at a single point of P^1(F_p).
 
     c is None for the point at infinity.  polys hold ascending-x coefficients
@@ -407,6 +417,10 @@ def validate_family(spec: FamilySpec) -> FamilySpec:
             raise ValidationError("multicover requires exactly 2 poly lines")
     elif n_polys != 1:
         raise ValidationError(f"kind {spec.kind} requires exactly 1 poly line")
+    if spec.kind == "hyperelliptic" and spec.polys[0].deg_t < 1:
+        # trace_zero would drop the fiber over t = infinity, the same curve
+        raise ValidationError(f"{spec.name}: the poly does not involve t; a product "
+                              "C x P^1 of one curve must be declared as kind constant")
     if spec.kind == "constant":
         for poly in spec.polys:
             if poly.deg_t > 0:

@@ -8,6 +8,10 @@ F_p[x], so a chi_sum family whose sums stay at degree <= 3, as every shipped
 family's do, computes its traces without numpy.  The separable and grid
 kernels, and S(f) of degree >= 4, are in kernels, which is imported, and
 numpy with it, the first time one of them runs.
+
+This module also owns the fiber classifier: component_count gives a fiber's
+number of rational components or refuses the fiber with UnsupportedFiber,
+and refused runs it over the singular fibers that singular_c_values locates.
 """
 
 from __future__ import annotations
@@ -19,12 +23,22 @@ from .family_model import (
     BadPrime,
     BivarPoly,
     FamilySpec,
+    FiberModel,
     bad_primes,
     fiber_at,
     singular_locus_polys,
 )
-from .fiber_trace import UnsupportedFiber, component_count
 from .prime_field import FieldCtx, legendre
+
+
+class UnsupportedFiber(Exception):
+    """Raised when a fiber's trace cannot be certified; carries (p, c, why)."""
+
+    def __init__(self, p: int, c: int | None, why: str):
+        super().__init__(f"unsupported fiber at p={p}, c={c}: {why}")
+        self.p = p
+        self.c = c
+        self.why = why
 
 
 def kernel_name(polys: tuple[BivarPoly, ...]) -> str:
@@ -132,6 +146,26 @@ def singular_c_values(spec: FamilySpec, ctx: FieldCtx) -> list[int]:
         if len(red) > 1:
             found.update(fp_poly.roots(red, p))
     return sorted(found)
+
+
+def component_count(ctx: FieldCtx, fiber: FiberModel) -> int:
+    """Number of F_p-rational components of the fiber.
+
+    Multicover: the m of the family's affine_plus rule, for every finite
+    fiber.  Single cover, f = s^2 * ftilde with ftilde squarefree nonconstant
+    (s = 1 for a smooth fiber): the plane curve y^2 = f is irreducible,
+    m = 1.  An x-degree drop, or ftilde constant (f a constant times a
+    square): raises UnsupportedFiber."""
+    if fiber.kind == "multicover":
+        return fiber.m_declared
+    f = fiber.polys[0]
+    if len(f) - 1 < fiber.generic_deg[0]:
+        raise UnsupportedFiber(ctx.p, fiber.c, "x-degree drop")
+    if len(fp_poly.odd_multiplicity_part(f, ctx.p)) <= 1:
+        raise UnsupportedFiber(
+            ctx.p, fiber.c, "fiber polynomial is a constant times a square"
+        )
+    return 1
 
 
 def refused(spec: FamilySpec, ctx: FieldCtx, sing_idx) -> list[UnsupportedFiber]:

@@ -1,35 +1,28 @@
-"""Per-fiber point counts, component counts and Frobenius traces.
+"""The scalar references: per-fiber point counts and Frobenius traces.
 
 Every trace is recovered from an exact point count through the identity
 N = 1 - a + p*m, where m is the number of F_p-rational components of the
 fiber.  Fibers whose plane model provably cannot certify m are refused: they
 surface as UnsupportedFiber, never guessed.
 
-component_count is the fiber classifier that the kernel shares.  The rest is
-the scalar reference that tests and `nagao verify` check the kernel against.
+Everything here enumerates F_p, fiber by fiber, and serves only the tests
+and `nagao verify`, which check the kernels against it; no command but
+verify imports this module.  The fiber classifier component_count and
+UnsupportedFiber belong to the run path and live in fiber_sum; they are
+imported here so that the references read them under their old names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import fp_poly
 from .family_model import FamilySpec, FiberModel, fiber_at
+from .fiber_sum import UnsupportedFiber, component_count
 from .prime_field import FieldCtx
 
 
-class UnsupportedFiber(Exception):
-    """Raised when a fiber's trace cannot be certified; carries (p, c, why)."""
-
-    def __init__(self, p: int, c: int | None, why: str):
-        super().__init__(f"unsupported fiber at p={p}, c={c}: {why}")
-        self.p = p
-        self.c = c
-        self.why = why
-
-
-@dataclass(frozen=True)
-class FiberTraceRecord:
+class FiberTraceRecord(NamedTuple):
     """Point count N, rational-component count m, trace a, for one fiber.
 
     Satisfies N = 1 - a + p*m by construction."""
@@ -79,26 +72,6 @@ def points_at_infinity(ctx: FieldCtx, fiber: FiberModel) -> int:
     if d % 2 == 1:
         return 1
     return 1 + ctx.chi(f[-1])
-
-
-def component_count(ctx: FieldCtx, fiber: FiberModel) -> int:
-    """Number of F_p-rational components of the fiber.
-
-    Multicover: the m of the family's affine_plus rule, for every finite
-    fiber.  Single cover, f = s^2 * ftilde with ftilde squarefree nonconstant
-    (s = 1 for a smooth fiber): the plane curve y^2 = f is irreducible,
-    m = 1.  An x-degree drop, or ftilde constant (f a constant times a
-    square): raises UnsupportedFiber."""
-    if fiber.kind == "multicover":
-        return fiber.m_declared
-    f = fiber.polys[0]
-    if len(f) - 1 < fiber.generic_deg[0]:
-        raise UnsupportedFiber(ctx.p, fiber.c, "x-degree drop")
-    if len(fp_poly.odd_multiplicity_part(f, ctx.p)) <= 1:
-        raise UnsupportedFiber(
-            ctx.p, fiber.c, "fiber polynomial is a constant times a square"
-        )
-    return 1
 
 
 def fiber_trace(ctx: FieldCtx, spec: FamilySpec, c) -> FiberTraceRecord:

@@ -21,20 +21,26 @@ numpy with it, the first time a prime needs a kernel or a sum from here:
 
 The grid also gives every finite fiber's trace (fiber_arrays), which
 `nagao verify` and the tests use as the oracle for trace_sum;
-points_over_x_infinity and univariate_curve_trace are the per-fiber oracles
-of the points over x = infinity and of a trace curve's a_p.
+points_over_x_infinity is the per-fiber oracle of the points over
+x = infinity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import fp_poly
 from .family_model import BivarPoly, FamilySpec
-from .fiber_sum import chi_sum, refused, require_good, singular_c_values, split_covers
-from .fiber_trace import UnsupportedFiber
+from .fiber_sum import (
+    UnsupportedFiber,
+    chi_sum,
+    refused,
+    require_good,
+    singular_c_values,
+    split_covers,
+)
 from .prime_field import FieldCtx
 
 _CHUNK_ELEMENTS = 4_000_000  # grid cells held in memory at once
@@ -59,8 +65,7 @@ def table_char_sum(coeffs, ctx: FieldCtx) -> int:
     return int(_chi_at_all_x(coeffs, ctx).sum(dtype=np.int64))
 
 
-@dataclass
-class _CoverPlan:
+class _CoverPlan(NamedTuple):
     """F(x, t) mod p split by t-degree: varying x-columns and constant rows."""
 
     varying: list[tuple[int, np.ndarray]]  # (j, u_j(x) for all x)
@@ -188,8 +193,7 @@ def points_over_x_infinity(poly: BivarPoly, ctx: FieldCtx) -> np.ndarray:
     return 1 + _chi_at_all_x(lead, ctx).astype(np.int64)
 
 
-@dataclass
-class FiberArrays:
+class FiberArrays(NamedTuple):
     """Traces of every finite fiber of one prime, plus singularity flags."""
 
     p: int
@@ -224,15 +228,3 @@ def grid_trace_sum(spec: FamilySpec, ctx: FieldCtx) -> tuple[int, list[Unsupport
     if spec.kind == "constant":
         total += int(arrays.a[0])  # the fiber over infinity is the same curve
     return total, arrays.unsupported
-
-
-def univariate_curve_trace(ctx: FieldCtx, coeffs: tuple[int, ...]) -> int:
-    """a_p = p + 1 - #{smooth projective y^2 = G(x)}(F_p), G squarefree mod p."""
-    p = ctx.p
-    red = fp_poly.trim(c % p for c in coeffs)
-    if len(red) - 1 < len(coeffs) - 1:
-        raise ValueError("leading coefficient vanished mod p")
-    n_aff = p + table_char_sum(red, ctx)
-    d = len(red) - 1
-    n_inf = 1 if d % 2 == 1 else 1 + ctx.chi(red[-1])
-    return p + 1 - (n_aff + n_inf)

@@ -1,10 +1,11 @@
 """Primes, and the field context F_p with its per-prime caches.
 
 The number of solutions of y^2 = a over F_p is 1 + chi(a), so every point
-count is a character sum.  On the run path chi is evaluated at a few points
-by Euler's criterion (legendre) and whole sums S(f) come from charsum's
-char_sum, memoized per prime in FieldCtx.char_sums.  The O(p) table chi_table
-serves the numpy kernels, S(f) of degree >= 4 and the enumeration oracles.
+count is a character sum.  A single value chi(a), legendre or FieldCtx.chi,
+costs one modular power by Euler's criterion and loads no numpy; whole sums
+S(f) come from charsum's char_sum, memoized per prime in FieldCtx.char_sums.
+The O(p) table chi_table serves only the numpy kernels and S(f) of degree
+>= 4, and is built the first time one of them reads it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -75,16 +75,20 @@ def legendre(a: int, p: int) -> int:
     return -1 if r == p - 1 else r
 
 
-@dataclass(frozen=True)
 class FieldCtx:
-    """An odd prime p with its per-prime caches.
+    """An odd prime p, read-only, with its per-prime caches.
 
-    Both caches are built on first access: the Legendre-symbol table (and
-    numpy with it) only where an O(p) sum needs it, and char_sums, the memo
-    of charsum.char_sum that the kernel and trace_correction share.
+    chi_table, and numpy with it, is built on first access, only where an
+    O(p) sum needs it; char_sums is the memo of charsum.char_sum that the
+    kernel and trace_correction share, S(f) by the reduced coefficient tuple
+    of f.
     """
 
-    p: int
+    def __init__(self, p: int) -> None:
+        self._p = p
+        self.char_sums: dict[tuple[int, ...], int] = {}
+
+    p = property(lambda self: self._p)
 
     @functools.cached_property
     def chi_table(self) -> np.ndarray:
@@ -99,16 +103,11 @@ class FieldCtx:
         table.setflags(write=False)
         return table
 
-    @functools.cached_property
-    def char_sums(self) -> dict[tuple[int, ...], int]:
-        """S(f) by the reduced coefficient tuple of f (charsum.char_sum)."""
-        return {}
-
     def chi(self, a: int) -> int:
-        """Quadratic character of a residue, by table lookup."""
+        """Quadratic character of a residue, by Euler's criterion (legendre)."""
         if not 0 <= a < self.p:
             raise OutOfRange(f"residue {a} not in [0, {self.p})")
-        return int(self.chi_table[a])
+        return legendre(a, self.p)
 
 
 def make_field(p: int) -> FieldCtx:

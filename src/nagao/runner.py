@@ -10,6 +10,10 @@ shipped family's does.  A ledger row becomes an integer SeriesEntry and
 builds no Fraction; with --jobs N the parent computes the first prime to
 compute, and the rest go to the workers in contiguous blocks, about 4 per
 worker.
+
+run, series and residue import only code that they execute: verify_family
+imports its references, fiber_trace and the grid kernels, when it is called,
+and summary_dict imports shioda_tate only for a family with fiber lines.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .accumulator import (
     NagaoSeries,
@@ -35,15 +39,7 @@ from .accumulator import (
 )
 from .family_model import FamilySpec, bad_primes, fiber_at
 from .fiber_sum import kernel_name
-from .fiber_trace import (
-    UnsupportedFiber,
-    brute_force_affine,
-    discriminant_locus,
-    fiber_trace,
-    weil_bound,
-)
 from .prime_field import make_field, primes_in_range
-from .shioda_tate import form5_diagnostic
 
 LEDGER_FIELDS = ["family_hash", "p", "A_p_num", "A_p_den", "a_p_B", "skipped", "reason"]
 SERIES_FIELDS = ["T", "S_T", "n_primes", "n_skipped"]
@@ -56,8 +52,7 @@ class LedgerMismatch(Exception):
     primes in order."""
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     family_path: str
     t_max: int
     out_dir: str
@@ -176,14 +171,12 @@ def load_ledger(path: Path) -> tuple[str | None, list[SeriesEntry]]:
     return fam_hash, entries
 
 
-@dataclass
 class RunResult:
-    spec: FamilySpec
-    fam_hash: str
-    series: NagaoSeries
-    out_dir: Path
-    skipped: list[SeriesEntry] = field(default_factory=list)
-    _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, spec: FamilySpec, fam_hash: str, series: NagaoSeries, out_dir: Path,
+                 skipped: list[SeriesEntry]) -> None:
+        self.spec, self.fam_hash, self.series = spec, fam_hash, series
+        self.out_dir, self.skipped = out_dir, skipped
+        self._points: dict = {}
 
     def points(self, checkpoints: list[int]) -> list[SeriesPoint]:
         """cesaro_series of this run's entries, computed once per T_i grid."""
@@ -274,6 +267,8 @@ def summary_dict(result: RunResult, checkpoints: list[int]) -> dict:
         "skipped": [{"p": e.p, "reason": e.reason} for e in result.skipped],
     }
     if result.spec.fiber_config is not None:
+        from .shioda_tate import form5_diagnostic
+
         report = form5_diagnostic(result.series, result.spec.fiber_config)
         out["form5_diagnostic"] = {
             "mean_abs_residual": report.mean_abs,
@@ -287,8 +282,17 @@ def summary_dict(result: RunResult, checkpoints: list[int]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class VerifyCheck:
+def __getattr__(name: str):
+    """runner.brute_force_affine, which older callers import from here, is
+    fiber_trace's, loaded when it is first read."""
+    if name == "brute_force_affine":
+        from .fiber_trace import brute_force_affine
+
+        return brute_force_affine
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class VerifyCheck(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -298,7 +302,8 @@ def verify_family(spec: FamilySpec, p_max: int = 23) -> list[VerifyCheck]:
     """Cross-check the grid against enumeration, and trace_sum against the
     grid, for every good p <= p_max.  Each check reports its first mismatch,
     in ascending p and then c."""
-    from .fiber_sum import trace_sum
+    from .fiber_sum import UnsupportedFiber, trace_sum
+    from .fiber_trace import brute_force_affine, discriminant_locus, fiber_trace, weil_bound
     from .kernels import affine_counts, fiber_arrays, grid_trace_sum, singular_c_values
 
     name = kernel_name(spec.polys)

@@ -10,8 +10,8 @@ as Mordell-Weil rank of the varying part plus the fixed rank of S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .accumulator import NagaoSeries
 from .family_model import FiberConfiguration
@@ -37,8 +37,7 @@ def ns_rank(rank_mw: int, config: FiberConfiguration) -> int:
     return rank_mw + rank_S_Gk(config)
 
 
-@dataclass(frozen=True)
-class Form5Report:
+class Form5Report(NamedTuple):
     """Per-prime residuals tr(F_p | S) - A*_p, read as the implied b_p/p.
 
     Diagnostic only: b_p is never computed independently, so there is no

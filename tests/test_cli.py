@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 import nagao
 from nagao import accumulator
 from nagao.cli import main
-from nagao.family_model import FACTOR_BOUND, MAX_DEGREE, MAX_POWER_DEGREE
+from nagao.family_model import FACTOR_BOUND, MAX_COEFF_BITS, MAX_DEGREE, MAX_POWER_DEGREE
 
 
 @pytest.fixture
@@ -76,6 +77,19 @@ def test_residue_output_and_domain_error(tmp_path, family_file):
             "--out", str(out), "--s-list", f"1.25,{bad_s}",
         ])
         assert rc == 1
+
+
+def test_residue_at_an_s_whose_p_to_the_s_overflows(tmp_path, family_file, capsys):
+    """3^s leaves the floats above s = 646.07: at s = 646.5 the p = 3 term of
+    shioda_g1 is subnormal and the estimate positive; at s = 700 it is 0."""
+    out = tmp_path / "out"
+    rc = main(["residue", "--family", family_file("shioda_g1"), "--tmax", "50",
+               "--out", str(out), "--s-list", "1.5,646.5,700"])
+    assert rc == 0 and capsys.readouterr().err == ""
+    with (out / "residue.csv").open() as fh:
+        estimates = [float(r["estimate"]) for r in csv.DictReader(fh)]
+    assert all(math.isfinite(e) for e in estimates)
+    assert estimates[0] > 0 and 0 < estimates[1] < 1e-300 and estimates[2] == 0
 
 
 def test_verify_prints_one_line_per_check(family_file, capsys):
@@ -246,8 +260,15 @@ def test_power_of_a_sum_above_the_bound_exits_1(tmp_path, family_file):
          "term products"),
         ("poly x^3 - x + t^2", "\n".join(["poly (x + t + 1)^70 - (x + t + 1)^70 + x^3 - x + t^2"] * 6),
          "term products"),
+        ("poly x^3 - x + t^2", "poly x^3 - x + 2^20000*t^2",
+         f"2^20000 exceeds the bound 2^{MAX_COEFF_BITS} at line 7, col 11\n"),
+        ("poly x^3 - x + t^2", "poly x^3 - x + 2^99999999*t^2",
+         f"2^99999999 exceeds the bound 2^{MAX_COEFF_BITS} at line 7, col 11\n"),
+        ("poly x^3 - x + t^2", f"poly x^3 - x + {'7' * 4000}*{'9' * 4000}*t^2",
+         f"exceeds the bound 2^{MAX_COEFF_BITS} at line 7, col 11\n"),
     ],
-    ids=["badprimes_above_bound", "power_terms", "expansion_work", "expansion_work_of_six_lines"],
+    ids=["badprimes_above_bound", "power_terms", "expansion_work", "expansion_work_of_six_lines",
+         "coefficient_power", "coefficient_power_of_a_huge_exponent", "coefficient_product"],
 )
 def test_oversized_family_input_exits_1_quickly(tmp_path, family_file, old, new, message):
     fam = Path(family_file("shioda_g1"))
@@ -257,6 +278,12 @@ def test_oversized_family_input_exits_1_quickly(tmp_path, family_file, old, new,
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_coefficient_of_3914_digits_runs(tmp_path, family_file):
+    fam = Path(family_file("shioda_g1"))
+    fam.write_text(fam.read_text().replace("poly x^3 - x + t^2", "poly x^3 - x + 2^13000*t^2"))
+    assert main(["run", "--family", str(fam), "--tmax", "50", "--out", str(tmp_path / "o")]) == 0
 
 
 def test_resume_against_foreign_ledger_exits_2(tmp_path, family_file, capsys):
@@ -454,9 +481,12 @@ def test_ledger_only_commands_do_not_import_numpy(tmp_path):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_root_count_runs_do_not_import_numpy(tmp_path, jobs):
     """Every shipped family takes chi_sum with character sums of degree <= 3,
-    so a run that computes primes loads neither numpy nor the kernels."""
+    so a run that computes primes loads neither numpy nor the kernels.  A run
+    loads only run-path code: no dataclasses (nor the inspect module that
+    they import) and not the scalar references of fiber_trace, which verify
+    loads and checks the kernels against."""
     code = textwrap.dedent(f"""
-        import sys
+        import contextlib, io, sys
         from importlib import resources
         import nagao
         from nagao.cli import main
@@ -466,6 +496,14 @@ def test_root_count_runs_do_not_import_numpy(tmp_path, jobs):
             assert main(args) == 0, args
         assert "numpy" not in sys.modules, "numpy was imported"
         assert "nagao.kernels" not in sys.modules
+        for module in ("dataclasses", "inspect", "nagao.fiber_trace"):
+            assert module not in sys.modules, module
+        for name in nagao.shipped_family_names():
+            fam = str(resources.files(nagao).joinpath(f"families/{{name}}.fam"))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["verify", "--family", fam]) == 0, name
+            assert out.getvalue().count(": PASS\\n") == 4, out.getvalue()
     """)
     proc = _python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 """Polynomial parsing, family files, bad primes, discriminant machinery."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from nagao.family_model import (
     BivarPoly,
     FACTOR_BOUND,
     FamilySpec,
+    MAX_COEFF_BITS,
     MAX_DEGREE,
     MAX_EXPANSION_WORK,
     MAX_POWER_DEGREE,
@@ -108,7 +110,7 @@ def test_parse_poly_unary_minus_and_precedence():
     assert parse_poly("--x").as_dict() == {(1, 0): 1}
     # ^ binds tighter than *, * tighter than +
     assert parse_poly("2*x^2 + 3").as_dict() == {(2, 0): 2, (0, 0): 3}
-    assert parse_poly("0").is_zero()
+    assert parse_poly("0").terms == ()
     # ^ binds tighter than a unary minus after a binary operator too
     assert parse_poly("x + -t^2").as_dict() == {(1, 0): 1, (0, 2): -1}
     assert parse_poly("x*-t^2").as_dict() == {(1, 2): -1}
@@ -158,7 +160,8 @@ def poly_texts(draw, depth: int = 2) -> tuple[str, BivarPoly]:
         text, value = atom(d)
         if draw(st.booleans()):
             k = draw(st.integers(0, 4))
-            text, value = f"{text}{sp()}^{sp()}{'0' * draw(st.integers(0, 1))}{k}", value**k
+            text = f"{text}{sp()}^{sp()}{'0' * draw(st.integers(0, 1))}{k}"
+            value = math.prod([value] * k, start=_mono(0, 0))
         return text, value
 
     def factor(d):
@@ -256,6 +259,20 @@ def test_power_terms_and_expansion_work_are_bounded():
     assert len(parse_poly("(x + t + 1)^40").terms) == 41 * 42 // 2
 
 
+def test_coefficient_size_is_bounded_before_the_integer_is_built():
+    big = "1" * 4000  # 13285 bits; Python refuses a literal above 4300 digits
+    for text, bits in (("x + 2^20000*t", 20000), ("x + 2^99999999", 99999999),
+                       (f"x + {big}*{big}*t", math.ceil(2 * math.log2(int(big))))):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, line=4)
+        assert str(info.value) == (f"coefficient of up to 2^{bits} exceeds the bound "
+                                   f"2^{MAX_COEFF_BITS} at line 4, col 5")
+    # 2^13000 (3914 digits), and a product up to the bound, pass and render
+    poly = parse_poly("x^3 - x + 2^13000*t^2 + (2^7000*x + 1)^2")
+    assert poly.as_dict()[(0, 2)] == 2**13000 and poly.as_dict()[(2, 0)] == 2**14000
+    assert parse_poly(poly.render()) == poly
+
+
 def test_expansion_work_is_shared_by_the_lines_of_a_file():
     heavy = "poly (x + t + 1)^70 - (x + t + 1)^70 + x^3 - x + t^2\n"
     one = 'family "six"\nkind hyperelliptic\n' + heavy + "genus 1\ntrace none\ninfinity trace_zero\n"
@@ -283,26 +300,6 @@ def test_unfactored_content_limits_the_tmax():
     with pytest.raises(ValidationError, match=f"above {FACTOR_BOUND}"):
         check_bad_primes_known(spec, FACTOR_BOUND + 1)
     check_bad_primes_known(load_shipped_family("shioda_g1"), 10 * FACTOR_BOUND)
-
-
-def test_pow_squares_only_while_bits_remain(monkeypatch):
-    mul = BivarPoly.__mul__
-    calls = []
-
-    def counting_mul(self, other):
-        calls.append(None)
-        return mul(self, other)
-
-    monkeypatch.setattr(BivarPoly, "__mul__", counting_mul)
-    f = BivarPoly.from_dict({(1, 0): 1, (0, 1): 2, (0, 0): -1})  # x + 2t - 1
-    # one product per set bit of n, one square per bit after the first
-    want_calls = [0, 1, 2, 3, 3, 4, 4, 5, 4, 5]
-    power = BivarPoly.from_dict({(0, 0): 1})
-    for n in range(10):
-        calls.clear()
-        assert f**n == power
-        assert len(calls) == want_calls[n], n
-        power = mul(power, f)
 
 
 def test_specialize_t():
@@ -526,6 +523,15 @@ def test_validation_constant_must_not_involve_t():
     text = MINIMAL.replace("kind hyperelliptic", "kind constant")
     with pytest.raises(ValidationError):
         parse_family(text)
+
+
+def test_validation_refuses_a_t_free_hyperelliptic_family():
+    """trace_zero would give the fiber over t = infinity trace 0, but a cover
+    without t has the same curve there: constant_E's surface, whose A_5 is
+    -12/5, would read -2."""
+    text = render_family(load_shipped_family("constant_E"))
+    with pytest.raises(ValidationError, match="kind constant"):
+        parse_family(text.replace("kind constant", "kind hyperelliptic"))
 
 
 def test_fiber_config_lines():

@@ -1,9 +1,15 @@
 """Per-fiber counts, component counts, traces, and their exact invariants."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nagao
 from nagao import load_shipped_family
 from nagao.family_model import BadPrime, FiberModel, bad_primes, fiber_at
 from nagao.fiber_trace import (
@@ -177,3 +183,22 @@ def test_nodal_normalization_cross_check():
 def test_weil_bound_values():
     assert weil_bound(1, 25) == 10.0
     assert weil_bound(2, 100) == 40.0
+
+
+def test_fiber_trace_loads_no_numpy():
+    """FieldCtx.chi is Euler's criterion, so the scalar reference of a shipped
+    family reads no chi table and loads no numpy."""
+    code = (
+        "import sys\n"
+        "from nagao import load_shipped_family, shipped_family_names\n"
+        "from nagao.fiber_trace import fiber_trace\n"
+        "from nagao.prime_field import make_field\n"
+        "for name in shipped_family_names():\n"
+        "    for c in (None, 0, 1, 50):\n"
+        "        fiber_trace(make_field(101), load_shipped_family(name), c)\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    src = str(Path(nagao.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

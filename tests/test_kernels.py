@@ -31,7 +31,7 @@ from nagao.kernels import (
     fiber_arrays,
     grid_trace_sum,
     singular_c_values,
-    univariate_curve_trace,
+    table_char_sum,
 )
 from nagao.prime_field import make_field, primes_in_range
 
@@ -145,6 +145,19 @@ def test_refused_fiber_reason_reaches_ledger_entry(name, why):
         assert entry.reason == f"unsupported fiber at c=0: {why}"
 
 
+def univariate_curve_trace(ctx, coeffs):
+    """a_p = p + 1 - #{smooth projective y^2 = G(x)}(F_p), G squarefree mod p,
+    from the O(p) table sum: the oracle of charsum.curve_trace."""
+    p = ctx.p
+    red = fp_poly.trim(c % p for c in coeffs)
+    if len(red) - 1 < len(coeffs) - 1:
+        raise ValueError("leading coefficient vanished mod p")
+    n_aff = p + table_char_sum(red, ctx)
+    d = len(red) - 1
+    n_inf = 1 if d % 2 == 1 else 1 + ctx.chi(red[-1])
+    return p + 1 - (n_aff + n_inf)
+
+
 def test_univariate_curve_trace_known_values():
     # y^2 = x^3 - x: a_5 = -2 (frozen enumeration); supersingular at p = 7
     curve = (0, -1, 0, 1)
@@ -158,6 +171,16 @@ def test_univariate_curve_trace_matches_count():
         ctx = make_field(p)
         N = brute_force_affine(p, (tuple(c % p for c in curve),)) + 1
         assert univariate_curve_trace(ctx, curve) == p + 1 - N
+
+
+def test_curve_trace_matches_table_oracle():
+    """charsum.curve_trace against the O(p) table sum, for the two shipped
+    trace curves and the quartic x^4 + 1, at every p of good reduction."""
+    for curve, disc in (((0, -1, 0, 1), 4), ((-30, 31, -10, 1), 36), ((1, 0, 0, 0, 1), 256)):
+        for p in primes_in_range(3, 1500):
+            if disc % p:
+                ctx = make_field(p)
+                assert charsum.curve_trace(curve, ctx) == univariate_curve_trace(ctx, curve)
 
 
 TRACE_SUM_FAMILIES = FAMILY_NAMES + ["cubic_t", "multicover_ex2_swapped"] + list(REFUSED_AT_0)
@@ -382,7 +405,9 @@ def char_sum_poly(draw):
     """A product of up to three small factors with multiplicities up to 3."""
     f = BivarPoly.from_dict({(0, 0): draw(nonzero_coeff)})
     for _ in range(draw(st.integers(0, 3))):
-        f = f * draw(t_free_cover()) ** draw(st.integers(1, 3))
+        g = draw(t_free_cover())
+        for _ in range(draw(st.integers(1, 3))):
+            f = f * g
     return f.t_coeff_polys()[0]
 
 

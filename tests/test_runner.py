@@ -1,7 +1,6 @@
 """Ledger persistence, resume semantics, verification oracles."""
 
 import csv
-import dataclasses
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -219,7 +218,7 @@ def test_verify_family_checks_the_run_trace_path(monkeypatch):
 
     def off_by_one(spec, ctx):
         arrays = kernel(spec, ctx)
-        return dataclasses.replace(arrays, a=arrays.a + 1)
+        return arrays._replace(a=arrays.a + 1)
 
     monkeypatch.setattr(kernels, "fiber_arrays", off_by_one)
     checks = verify_family(load_shipped_family("shioda_g1"), p_max=7)
