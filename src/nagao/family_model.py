@@ -306,9 +306,13 @@ def _log2_size(f: BivarPoly) -> float:
 
 
 class InfinityRule(NamedTuple):
-    """How the fiber over t = infinity (and, for affine_plus, every finite
-    fiber's completion) is handled: trace_zero for a single cover,
-    affine_plus for a multicover."""
+    """How the fibers are completed over x = infinity.
+
+    trace_zero, for a single cover: the points over x = infinity follow
+    from the x-degree.  affine_plus, for a multicover: every finite fiber
+    has nu of them, 0 <= nu <= 4, and m = 1 rational component.  Either way
+    the fiber over t = infinity has trace 0 when a cover involves t, and is
+    the curve of every finite fiber when none does."""
 
     kind: str
     nu: int = 0
@@ -377,6 +381,12 @@ class FamilySpec(NamedTuple):
     fiber_config: FiberConfiguration | None = None
 
 
+def involves_t(spec: FamilySpec) -> bool:
+    """Whether some cover involves t.  When none does, the surface is C x P^1
+    and the fiber over t = infinity is C, the curve of every finite fiber."""
+    return any(poly.deg_t > 0 for poly in spec.polys)
+
+
 class FiberModel(NamedTuple):
     """Specialization of the family at a single point of P^1(F_p).
 
@@ -417,14 +427,8 @@ def validate_family(spec: FamilySpec) -> FamilySpec:
             raise ValidationError("multicover requires exactly 2 poly lines")
     elif n_polys != 1:
         raise ValidationError(f"kind {spec.kind} requires exactly 1 poly line")
-    if spec.kind == "hyperelliptic" and spec.polys[0].deg_t < 1:
-        # trace_zero would drop the fiber over t = infinity, the same curve
-        raise ValidationError(f"{spec.name}: the poly does not involve t; a product "
-                              "C x P^1 of one curve must be declared as kind constant")
-    if spec.kind == "constant":
-        for poly in spec.polys:
-            if poly.deg_t > 0:
-                raise ValidationError("constant family must not involve t")
+    if spec.kind == "constant" and involves_t(spec):
+        raise ValidationError("constant family must not involve t")
     degrees = [("x-degree", poly.deg_x) for poly in spec.polys]
     degrees += [("t-degree", poly.deg_t) for poly in spec.polys]
     degrees += [("trace curve x-degree", len(curve) - 1) for curve in spec.trace.curves]
@@ -455,10 +459,15 @@ def validate_family(spec: FamilySpec) -> FamilySpec:
                 f"{spec.name}: trace curve polynomial is not squarefree of positive degree"
             )
     if spec.kind == "multicover":
-        if spec.infinity_rule.kind != "affine_plus":
+        rule = spec.infinity_rule
+        if rule.kind != "affine_plus":
             raise ValidationError(
                 "multicover families must declare 'infinity affine_plus <nu> <m>'"
             )
+        # a smooth fiber is one geometrically irreducible curve, and a
+        # degree-4 cover of the x-line has at most 4 points over x = infinity
+        if rule.m != 1 or not 0 <= rule.nu <= 4:
+            raise ValidationError(f"{spec.name}: affine_plus needs 0 <= nu <= 4 and m = 1")
     elif spec.infinity_rule.kind != "trace_zero":
         raise ValidationError(f"{spec.kind} families must declare 'infinity trace_zero'")
     return spec
@@ -614,6 +623,9 @@ def parse_family(text: str) -> FamilySpec:
     for fd in fibers:
         if not 1 <= fd.orbits <= fd.n:
             raise ValidationError(f"fiber {fd.label}: need 1 <= orbits <= n")
+        rule = fd.m_rule
+        if not all(0 <= m <= fd.n for m in (rule.m, rule.m_yes, rule.m_no)):
+            raise ValidationError(f"fiber {fd.label}: the m-rule gives a value outside 0..n")
 
     spec = FamilySpec(
         name=name,
@@ -825,17 +837,17 @@ def check_bad_primes_known(spec: FamilySpec, t_max: int) -> None:
 
 
 def fiber_at(spec: FamilySpec, ctx: FieldCtx, c: int | str) -> FiberModel:
-    """The fiber over c in P^1(F_p); pass INFINITY (or None) for c = infinity."""
+    """The fiber over c in P^1(F_p); pass INFINITY (or None) for c = infinity.
+
+    Over infinity, a family that involves t gets no polys, and trace 0."""
     if ctx.p in bad_primes(spec):
         raise BadPrime(f"p = {ctx.p} lies in the bad set of {spec.name}")
     rule = spec.infinity_rule
     degs = tuple(poly.deg_x for poly in spec.polys)
     if c in (INFINITY, None):
-        if spec.kind == "constant":
-            # X = C0 x P^1: the fiber at infinity is the constant curve itself
-            polys = tuple(poly.specialize_t(0, ctx.p) for poly in spec.polys)
-            return FiberModel(None, polys, degs, spec.kind, rule.nu, rule.m)
-        return FiberModel(None, (), degs, spec.kind, rule.nu, rule.m)
+        polys = () if involves_t(spec) else tuple(
+            poly.specialize_t(0, ctx.p) for poly in spec.polys)
+        return FiberModel(None, polys, degs, spec.kind, rule.nu, rule.m)
     c = int(c)
     if not 0 <= c < ctx.p:
         raise ValueError(f"c = {c} not in F_{ctx.p}")

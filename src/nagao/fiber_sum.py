@@ -10,8 +10,8 @@ kernels, and S(f) of degree >= 4, are in kernels, which is imported, and
 numpy with it, the first time one of them runs.
 
 This module also owns the fiber classifier: component_count gives a fiber's
-number of rational components or refuses the fiber with UnsupportedFiber,
-and refused runs it over the singular fibers that singular_c_values locates.
+number of rational components or refuses the fiber with UnsupportedFiber;
+refused runs it over trace_sum's candidates or singular_c_values' locus.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .family_model import (
     FiberModel,
     bad_primes,
     fiber_at,
+    involves_t,
     singular_locus_polys,
 )
 from .prime_field import FieldCtx, legendre
@@ -128,16 +129,18 @@ def require_good(spec: FamilySpec, p: int) -> None:
 
 
 def singular_c_values(spec: FamilySpec, ctx: FieldCtx) -> list[int]:
-    """Finite c with singular fiber, ascending, via the integer t-resultant loci.
+    """Finite c with singular fiber, ascending: the roots mod p of
+    Res_x(F_i, F_i'), of the leading x-coefficients and, for multicovers, of
+    Res_x(F_1, F_2).  The test suite checks them against the defining gcd
+    computation away from the bad set."""
+    return locus_roots(singular_locus_polys(spec), ctx)
 
-    The roots mod p of Res_x(F_i, F_i'), of the leading x-coefficients, and
-    (for multicovers) of Res_x(F_1, F_2), by fp_poly.roots.  Agrees with the
-    defining gcd computation away from the bad set; the agreement is
-    exercised by the test suite.
-    """
+
+def locus_roots(loci, ctx: FieldCtx) -> list[int]:
+    """The c in F_p at which one of the integer polynomials loci vanishes, ascending."""
     p = ctx.p
     found: set[int] = set()
-    for locus in singular_locus_polys(spec):
+    for locus in loci:
         red = fp_poly.trim(c % p for c in locus)
         if not red:
             raise BadPrime(
@@ -169,7 +172,7 @@ def component_count(ctx: FieldCtx, fiber: FiberModel) -> int:
 
 
 def refused(spec: FamilySpec, ctx: FieldCtx, sing_idx) -> list[UnsupportedFiber]:
-    """The singular fibers of a single cover whose trace component_count refuses."""
+    """The fibers over the c in sing_idx whose trace component_count refuses."""
     out = []
     for c in sing_idx:
         try:
@@ -179,25 +182,15 @@ def refused(spec: FamilySpec, ctx: FieldCtx, sing_idx) -> list[UnsupportedFiber]
     return out
 
 
-def _x_infinity_total(poly: BivarPoly, ctx: FieldCtx) -> int:
-    """The points over x = infinity summed over the finite c, from the generic
-    x-degree: p when it is odd, p + S(lead) when it is even."""
-    if poly.deg_x % 2 == 1:
-        return ctx.p
-    from .charsum import char_sum
-
-    return ctx.p + char_sum(poly.leading_x_coeff(), ctx)
-
-
 def trace_sum(spec: FamilySpec, ctx: FieldCtx) -> tuple[int, list[UnsupportedFiber]]:
     """Sum of the fiber traces over P^1(F_p), and the fibers it refuses.
 
-    A multicover takes nu and m from its affine_plus rule and refuses no
-    fiber, so it skips the singular locus.  A single cover has m = 1 and its
-    points over x = infinity from the generic x-degree; its singular fibers
-    go through component_count to collect the refused ones.  The fiber over
-    t = infinity has trace 0, except in a constant family, whose fibers are
-    all the same curve.
+    A multicover's affine_plus rule fixes nu and m, so it refuses no fiber.
+    A single cover has m = 1, one point over x = infinity at odd x-degree and
+    1 + chi(lead) at even; component_count refuses its fiber over c only at a
+    root of lead (a degree drop) or, at even degree, elsewhere on the singular
+    locus (a constant times a square).  The fiber over t = infinity has trace
+    0 unless no cover involves t: then it is the curve of every finite fiber.
     """
     p = ctx.p
     require_good(spec, p)
@@ -208,10 +201,18 @@ def trace_sum(spec: FamilySpec, ctx: FieldCtx) -> tuple[int, list[UnsupportedFib
         from .kernels import KERNELS  # the numpy kernels
 
         n_aff = KERNELS[name](spec.polys, ctx)
-    if spec.kind == "multicover":
-        rule = spec.infinity_rule
-        return p * (1 + p * rule.m - rule.nu) - n_aff, []
-    total = p * (p + 1) - n_aff - _x_infinity_total(spec.polys[0], ctx)
-    if spec.kind == "constant":
+    rule = spec.infinity_rule
+    if rule.kind == "affine_plus":
+        total, loci = p * (1 + p * rule.m - rule.nu) - n_aff, ()
+    else:  # summed over c, x = infinity has p points, plus S(lead) at even degree
+        poly = spec.polys[0]
+        total, loci = p * p - n_aff, singular_locus_polys(spec)  # (Res_x(F, F_x), lead)
+        if poly.deg_x % 2:
+            loci = loci[1:]
+        else:
+            from .charsum import char_sum
+
+            total -= char_sum(poly.leading_x_coeff(), ctx)
+    if not involves_t(spec):
         total += total // p
-    return total, refused(spec, ctx, singular_c_values(spec, ctx))
+    return total, refused(spec, ctx, locus_roots(loci, ctx))

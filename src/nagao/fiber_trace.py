@@ -82,8 +82,7 @@ def fiber_trace(ctx: FieldCtx, spec: FamilySpec, c) -> FiberTraceRecord:
     p = ctx.p
     fiber = fiber_at(spec, ctx, c)
 
-    if fiber.at_infinity and spec.kind != "constant":
-        # trace_zero, and the infinity fiber of a multicover's affine_plus rule
+    if fiber.at_infinity and not fiber.polys:  # a cover involves t
         return FiberTraceRecord(c=None, N=p + 1, m=1, a=0, singular=True)
 
     m = component_count(ctx, fiber)

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fp_poly
-from .family_model import BivarPoly, FamilySpec
+from .family_model import BivarPoly, FamilySpec, involves_t
 from .fiber_sum import (
     UnsupportedFiber,
     chi_sum,
@@ -225,6 +225,6 @@ def grid_trace_sum(spec: FamilySpec, ctx: FieldCtx) -> tuple[int, list[Unsupport
     """trace_sum from the per-fiber traces of fiber_arrays: its O(p^2) oracle."""
     arrays = fiber_arrays(spec, ctx)
     total = int(arrays.a.sum())
-    if spec.kind == "constant":
+    if not involves_t(spec):
         total += int(arrays.a[0])  # the fiber over infinity is the same curve
     return total, arrays.unsupported

@@ -28,7 +28,8 @@ from nagao.accumulator import (
     trace_correction,
     variant_average,
 )
-from nagao.family_model import FiberConfiguration, FiberDescriptor, parse_m_rule
+from nagao.family_model import FiberConfiguration, FiberDescriptor, parse_m_rule, render_family
+from nagao.fiber_trace import fiber_trace
 from nagao.fiber_sum import kernel_name
 from nagao.prime_field import make_field, primes_in_range
 from nagao.runner import LEDGER_FIELDS, entry_row, load_ledger, row_entry
@@ -48,6 +49,40 @@ def test_average_trace_shioda_g1_p5():
     # all five finite fibers have a = -2, infinity contributes 0: A_5 = -10/5
     spec = load_shipped_family("shioda_g1")
     assert average_trace(spec, make_field(5)) == Fraction(-10, 5)
+
+
+# multicover_ex2 with x*(x-1)*(x-7) for its cover with t: no cover involves t
+T_FREE_MULTICOVER = """\
+family "t_free_multicover"
+kind multicover
+poly (x-2)*(x-3)*(x-5)
+poly x*(x-1)*(x-7)
+genus 4
+trace curve (x-2)*(x-3)*(x-5)
+infinity affine_plus 2 1
+"""
+
+
+def test_t_free_multicover_counts_its_curve_over_infinity():
+    """C x P^1 with C a fiber product: the fiber over t = infinity is C again,
+    so A_p = a(C) (p + 1) / p, with a(C) the trace of the fiber over c = 0."""
+    spec = parse_family(T_FREE_MULTICOVER)
+    for p in good_primes(spec, 3, 200):
+        ctx = make_field(p)
+        a_c = fiber_trace(ctx, spec, 0).a
+        assert fiber_trace(ctx, spec, None).a == a_c
+        assert average_trace(spec, ctx) == Fraction(a_c * (p + 1), p), f"p = {p}"
+
+
+def test_t_free_hyperelliptic_family_is_the_constant_family():
+    """kind constant only asserts that the poly has no t: the same curve
+    declared as hyperelliptic gives constant_E's A_p at every prime."""
+    spec = load_shipped_family("constant_E")
+    same = parse_family(render_family(spec).replace("kind constant", "kind hyperelliptic"))
+    assert same.kind == "hyperelliptic"
+    primes = good_primes(spec, 3, 500)
+    assert good_primes(same, 3, 500) == primes
+    assert [compute_entry(same, p) for p in primes] == [compute_entry(spec, p) for p in primes]
 
 
 def test_constant_family_average_is_exact():

@@ -101,6 +101,16 @@ def test_verify_prints_one_line_per_check(family_file, capsys):
     assert all(line.endswith("PASS") for line in lines)
 
 
+def test_verify_passes_on_a_t_free_multicover(family_file, capsys):
+    """Neither cover involves t: trace_sum and the grid both count the fiber
+    over t = infinity as the curve of every finite fiber."""
+    fam = Path(family_file("multicover_ex2"))
+    fam.write_text(fam.read_text().replace("x*(x-1)*(x-t)", "x*(x-1)*(x-7)"))
+    assert main(["verify", "--family", str(fam)]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
+    assert len(lines) == 4 and all(line.endswith(": PASS") for line in lines)
+
+
 def test_missing_family_file_exits_1(tmp_path, capsys):
     rc = main(["run", "--family", str(tmp_path / "nope.fam"), "--tmax", "50"])
     assert rc == 1
@@ -151,6 +161,9 @@ def test_invalid_family_semantics_exits_1(tmp_path, capsys):
     [
         ("constant_E", "trace curve x^3 - x", "trace curve 5"),
         ("shioda_g1", "infinity trace_zero", "infinity affine_plus 2 1"),
+        ("multicover_ex2", "infinity affine_plus 2 1", "infinity affine_plus -3 0"),
+        ("shioda_g1", 'fiber nodal1 n=1 orbits=1 m="1"',
+         'fiber nodal1 n=1 orbits=1 m="5 if p % 4 == 1 else 9"'),
     ],
 )
 def test_inconsistent_family_declaration_exits_1(tmp_path, family_file, capsys, name, old, new):

@@ -525,13 +525,26 @@ def test_validation_constant_must_not_involve_t():
         parse_family(text)
 
 
-def test_validation_refuses_a_t_free_hyperelliptic_family():
-    """trace_zero would give the fiber over t = infinity trace 0, but a cover
-    without t has the same curve there: constant_E's surface, whose A_5 is
-    -12/5, would read -2."""
-    text = render_family(load_shipped_family("constant_E"))
-    with pytest.raises(ValidationError, match="kind constant"):
-        parse_family(text.replace("kind constant", "kind hyperelliptic"))
+@pytest.mark.parametrize("nu_m", ["-3 0", "5 1", "2 0", "2 2"])
+def test_validation_bounds_the_affine_plus_rule(nu_m):
+    """Every finite fiber follows the rule, so m = 1 (a smooth fiber is one
+    geometrically irreducible curve) and 0 <= nu <= 4 (points over x = infinity
+    of a degree-4 cover of the x-line)."""
+    text = render_family(load_shipped_family("multicover_ex2"))
+    with pytest.raises(ValidationError, match="0 <= nu <= 4 and m = 1"):
+        parse_family(text.replace("affine_plus 2 1", f"affine_plus {nu_m}"))
+    for nu in (0, 4):
+        assert parse_family(text.replace("affine_plus 2", f"affine_plus {nu}")).infinity_rule.nu == nu
+
+
+@pytest.mark.parametrize(
+    "rule", ["3", "5 if p % 4 == 1 else 9", "3 if chi(-1) == 1 else 1", "1 if p % 3 == 1 else 3"]
+)
+def test_m_rule_values_must_lie_in_0_to_n(rule):
+    with pytest.raises(ValidationError, match="outside 0..n"):
+        parse_family(MINIMAL + f'fiber f n=2 orbits=1 m="{rule}"\n')
+    for ok in ("0", "2 if p % 3 == 1 else 0"):
+        parse_family(MINIMAL + f'fiber f n=2 orbits=1 m="{ok}"\n')
 
 
 def test_fiber_config_lines():

@@ -65,15 +65,19 @@ REFUSED_AT_0 = {
     "constant_times_square": "(x^2-1)^2 + t*x",
 }
 
+# a genus-1 single cover whose leading x-coefficient varies: its fibers over
+# the roots of t^2 + 1 drop x-degree, at the p = 1 mod 4
+LEAD_VARIES = "(t^2+1)*x^3 + x + t"
+
 
 def load_family(name):
     if name == "multicover_ex2_swapped":
         return parse_family(SWAPPED_MULTICOVER)
     if name == "cubic_t":
         return parse_family(CUBIC_T)
-    if name in REFUSED_AT_0:
+    if name in REFUSED_AT_0 or name == "lead_varies":
         return parse_family(
-            f'family "{name}"\nkind hyperelliptic\npoly {REFUSED_AT_0[name]}\n'
+            f'family "{name}"\nkind hyperelliptic\npoly {REFUSED_AT_0.get(name, LEAD_VARIES)}\n'
             "genus 1\ntrace none\ninfinity trace_zero\n"
         )
     return load_shipped_family(name)
@@ -195,6 +199,22 @@ def test_trace_sum_equals_grid(name):
         want, want_refused = grid_trace_sum(spec, ctx)
         assert total == want, f"p = {p}"
         assert [(u.c, u.why) for u in refused] == [(u.c, u.why) for u in want_refused]
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES + ["cubic_t", "lead_varies"] + list(REFUSED_AT_0))
+def test_trace_sum_refuses_what_the_full_locus_refuses(name):
+    """trace_sum runs component_count only on the roots of the leading
+    x-coefficient, and at even x-degree on the rest of the singular locus;
+    over the full locus it refuses the same fibers for the same reasons."""
+    spec = load_family(name)
+    refusing = 0
+    for p in good_primes(spec, 3, 2000):
+        ctx = make_field(p)
+        got = [(u.c, u.why) for u in trace_sum(spec, ctx)[1]]
+        want = fiber_sum.refused(spec, ctx, singular_c_values(spec, ctx))
+        assert got == [(u.c, u.why) for u in want], f"p = {p}"
+        refusing += bool(got)
+    assert bool(refusing) == (name == "lead_varies" or name in REFUSED_AT_0)
 
 
 @pytest.mark.parametrize(
@@ -471,14 +491,17 @@ def test_numpy_fft_loads_only_for_separable_families():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("name", ["shioda_g1", "multicover_ex2", "cubic_t"])
+@pytest.mark.parametrize("name", ["shioda_g1", "shioda_g2", "multicover_ex2", "cubic_t"])
 def test_run_path_uses_no_grid_and_multicover_no_singular_locus(monkeypatch, name):
+    """A multicover searches no singular locus; a single cover of odd
+    x-degree and leading coefficient 1 reaches no root finding at all."""
     def called(*args):
         raise AssertionError("reached from the run path")
 
     for attr in ("fiber_arrays", "_chi_grid_sums"):
         monkeypatch.setattr(kernels, attr, called)
     spec = load_family(name)
-    if spec.kind == "multicover":
-        monkeypatch.setattr(fiber_sum, "singular_c_values", called)
+    monkeypatch.setattr(fiber_sum, "singular_c_values", called)
+    if spec.kind != "multicover":
+        monkeypatch.setattr(fp_poly, "roots", called)
     assert not compute_entry(spec, 101).skipped
