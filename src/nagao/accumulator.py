@@ -23,7 +23,9 @@ loads them.
 from __future__ import annotations
 
 import hashlib
+import marshal
 import math
+import os
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -175,30 +177,60 @@ def compute_series(spec: FamilySpec, t_max: int, jobs: int = 1) -> NagaoSeries:
 
 
 def iter_entries(spec: FamilySpec, primes: list[int], jobs: int = 1):
-    """Yield entries in ascending-p order, optionally fanning out to workers
-    that each take contiguous blocks of primes.
+    """Yield entries in ascending-p order, optionally fanning out to forked
+    workers: worker k computes rest[k::jobs] of the primes after the first.
 
     With workers, the parent computes primes[0] first, so whatever that prime
     imports (numpy and the kernels, for a family that needs them) is loaded
-    once, before the pool forks."""
-    if jobs <= 1 or len(primes) < 4:
+    once, before the fork; nagao starts no thread, so forking is safe.  A
+    worker sends each entry's fields down its own pipe with marshal, and the
+    parent reads the pipes round-robin.  A worker that ends before an entry
+    leaves the parent to compute it, which re-raises the worker's error.  The
+    workers are killed and reaped however the generator ends, and one whose
+    parent is gone stops at its next write (EPIPE)."""
+    if jobs <= 1 or len(primes) < 2:
         for p in primes:
             yield compute_entry(spec, p)
         return
-    import multiprocessing as mp
+    import signal  # loads enum conversions: only a run with workers pays for it
 
     yield compute_entry(spec, primes[0])
     rest = primes[1:]
-    # about 4 contiguous blocks per worker: one task pickles the spec once
-    # for a block, and the blocks still balance the workers' loads
-    chunk = -(-len(rest) // (4 * jobs))
-    with mp.Pool(jobs) as pool:
-        yield from pool.imap(_entry_worker, [(spec, p) for p in rest], chunksize=chunk)
-
-
-def _entry_worker(args) -> SeriesEntry:
-    spec, p = args
-    return compute_entry(spec, p)
+    jobs = min(jobs, len(rest))
+    pids, readers = [], []
+    try:
+        for k in range(jobs):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    for f in readers:
+                        f.close()
+                    os.close(r)
+                    for p in rest[k::jobs]:
+                        e = compute_entry(spec, p)
+                        # an entry is far below PIPE_BUF, so each write is atomic
+                        os.write(w, marshal.dumps((p, e.num, e.den, e.a_p_B, e.skipped, e.reason)))
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+            os.close(w)
+            readers.append(os.fdopen(r, "rb"))
+        for i, p in enumerate(rest):
+            try:
+                fields = marshal.load(readers[i % jobs])
+            except EOFError:
+                compute_entry(spec, p)
+                raise RuntimeError(f"the worker for p = {p} ended without its entry") from None
+            if fields[0] != p:
+                raise RuntimeError(f"a worker sent p = {fields[0]} where p = {p} was due")
+            yield SeriesEntry(*fields)
+    finally:
+        for f in readers:
+            f.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 class SeriesPoint(NamedTuple):

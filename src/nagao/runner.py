@@ -8,8 +8,8 @@ Reading a complete ledger and the estimators load no numpy; the kernels come
 in with verify, or with the first prime whose trace needs them, which no
 shipped family's does.  A ledger row becomes an integer SeriesEntry and
 builds no Fraction; with --jobs N the parent computes the first prime to
-compute, and the rest go to the workers in contiguous blocks, about 4 per
-worker.
+compute and forks up to N workers, worker k taking every N-th of the rest
+from the k-th on.
 
 run, series and residue import only code that they execute: verify_family
 imports its references, fiber_trace and the grid kernels, when it is called,

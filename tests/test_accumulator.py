@@ -2,6 +2,8 @@
 
 import csv
 import math
+import os
+import signal
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -150,15 +152,71 @@ def test_compute_series_parallel_equals_serial():
     assert serial.entries == parallel.entries
 
 
-@pytest.mark.parametrize("n", [4, 5, 8 * 2 - 1, 8 * 2, 8 * 2 + 1, 8 * 2 + 2])
-def test_pool_blocks_equal_serial(n):
-    """jobs=2 computes the first prime in the parent and cuts the other
-    n - 1 into about 4 * 2 blocks; prime counts just under, on and over a
-    block boundary give the serial entries."""
+@pytest.mark.parametrize("jobs,n", [(jobs, n) for jobs in (2, 3)
+                                    for n in (4, 5, 8 * jobs - 1, 8 * jobs, 8 * jobs + 1, 8 * jobs + 2)])
+def test_interleaved_split_equals_serial(jobs, n):
+    """The parent computes the first of n primes and worker k the k-th of
+    every jobs of the other n - 1; counts just under, on and over a multiple
+    of jobs, of n and of n - 1, give the serial entries."""
     spec = load_shipped_family("shioda_g1")
     t_max = good_primes(spec, 3, 200)[n - 1]
     assert len(good_primes(spec, 3, t_max)) == n
-    assert compute_series(spec, t_max, jobs=2).entries == compute_series(spec, t_max, jobs=1).entries
+    assert compute_series(spec, t_max, jobs=jobs).entries == compute_series(spec, t_max, jobs=1).entries
+
+
+def test_more_jobs_than_primes_equals_serial():
+    spec = load_shipped_family("shioda_g1")
+    for primes in ([], [5], [5, 7], [5, 7, 11]):
+        assert list(iter_entries(spec, primes, jobs=8)) == list(iter_entries(spec, primes, jobs=1))
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_worker_error_is_the_serial_error(monkeypatch, jobs):
+    """A worker that raises sends no entry; the parent computes that prime
+    itself and raises what --jobs 1 raises, after the entries before it."""
+    spec = load_shipped_family("shioda_g1")
+    primes = good_primes(spec, 3, 120)
+    compute = accumulator.compute_entry
+
+    def failing(spec, p):
+        if p == primes[7]:
+            raise ArithmeticError(f"no entry at p = {p}")
+        return compute(spec, p)
+
+    monkeypatch.setattr(accumulator, "compute_entry", failing)
+    got = []
+    with pytest.raises(ArithmeticError, match=f"p = {primes[7]}"):
+        for entry in iter_entries(spec, primes, jobs=jobs):
+            got.append(entry.p)
+    assert got == primes[:7]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_killed_from_outside_names_its_prime(monkeypatch):
+    """A worker that ends without an entry whose prime the parent can compute
+    was killed from outside: a RuntimeError names the prime."""
+    spec = load_shipped_family("shioda_g1")
+    primes = good_primes(spec, 3, 120)
+    compute, parent = accumulator.compute_entry, os.getpid()
+
+    def killed(spec, p):
+        if p == primes[5] and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return compute(spec, p)
+
+    monkeypatch.setattr(accumulator, "compute_entry", killed)
+    with pytest.raises(RuntimeError, match=f"p = {primes[5]} ended"):
+        list(iter_entries(spec, primes, jobs=2))
+
+
+def test_closed_generator_leaves_no_child():
+    spec = load_shipped_family("shioda_g1")
+    gen = iter_entries(spec, good_primes(spec, 3, 2000), jobs=2)
+    assert [next(gen).p for _ in range(3)] == good_primes(spec, 3, 2000)[:3]
+    gen.close()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # multicover_ex2's covers with a t^2 x added to the cover with t: chi_sum,

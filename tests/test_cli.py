@@ -4,9 +4,11 @@ import csv
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -199,11 +201,15 @@ def test_empty_list_exits_1(tmp_path, family_file, capsys, command, flag):
     assert not out.exists()
 
 
+def _env():
+    """os.environ with this checkout's nagao first on PYTHONPATH."""
+    src = str(Path(nagao.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def _python(args, cwd, **kw):
     """A fresh interpreter, `python *args`, that imports this checkout's nagao."""
-    src = str(Path(nagao.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=_env(), capture_output=True,
                           text=True, **kw)
 
 
@@ -439,6 +445,58 @@ def test_resume_series_bitwise_identical(tmp_path, family_file):
     assert (resumed / "series.csv").read_bytes() == (fresh / "series.csv").read_bytes()
 
 
+def _live_in_session(sid):
+    """Pids of the processes of session sid that are not zombies (Linux /proc)."""
+    pids = []
+    for entry in Path("/proc").glob("[0-9]*"):
+        try:
+            stat = (entry / "stat").read_text()
+        except (OSError, ValueError):
+            continue
+        state, _ppid, _pgrp, session = stat[stat.rindex(")") + 2:].split()[:4]
+        if int(session) == sid and state != "Z":
+            pids.append(int(entry.name))
+    return pids
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_killed_pool_run_resumes_to_the_serial_bytes(tmp_path, family_file):
+    """SIGKILL the parent of a --jobs 2 run once its ledger holds a few rows:
+    the orphaned workers stop at their next write (EPIPE), and --resume
+    --jobs 2 then writes the ledger and series of a fresh --jobs 1 run."""
+    fam = family_file("shioda_g1")
+    args = [sys.executable, "-m", "nagao.cli", "run", "--family", fam, "--tmax", "100000"]
+    assert subprocess.run([*args, "--out", str(tmp_path / "fresh")], env=_env(),
+                          stdout=subprocess.DEVNULL, timeout=300).returncode == 0
+    fresh_rows = (tmp_path / "fresh" / "ledger.csv").read_bytes().count(b"\n")
+    ledger = tmp_path / "killed" / "ledger.csv"
+    run = [*args, "--out", str(tmp_path / "killed"), "--jobs", "2"]
+    proc = subprocess.Popen(run, env=_env(), start_new_session=True, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not (ledger.exists() and ledger.read_bytes().count(b"\n") > 5):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.002)
+        proc.kill()
+        proc.wait()
+        assert ledger.read_bytes().count(b"\n") < fresh_rows
+        deadline = time.monotonic() + 10
+        while pids := _live_in_session(proc.pid):
+            assert time.monotonic() < deadline, f"workers {pids} outlived their parent"
+            time.sleep(0.05)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    assert subprocess.run([*run, "--resume"], env=_env(), stdout=subprocess.DEVNULL,
+                          timeout=300).returncode == 0
+    for name in ("ledger.csv", "series.csv"):
+        assert (tmp_path / "killed" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
 def test_commands_do_not_import_sympy(tmp_path):
     """sympy is a test dependency only: run and verify must never load it."""
     code = textwrap.dedent("""
@@ -496,8 +554,9 @@ def test_root_count_runs_do_not_import_numpy(tmp_path, jobs):
     """Every shipped family takes chi_sum with character sums of degree <= 3,
     so a run that computes primes loads neither numpy nor the kernels.  A run
     loads only run-path code: no dataclasses (nor the inspect module that
-    they import) and not the scalar references of fiber_trace, which verify
-    loads and checks the kernels against."""
+    they import), not the scalar references of fiber_trace, which verify
+    loads and checks the kernels against, and, at either --jobs, neither
+    multiprocessing nor pickle: the workers are forked and send marshal."""
     code = textwrap.dedent(f"""
         import contextlib, io, sys
         from importlib import resources
@@ -509,7 +568,7 @@ def test_root_count_runs_do_not_import_numpy(tmp_path, jobs):
             assert main(args) == 0, args
         assert "numpy" not in sys.modules, "numpy was imported"
         assert "nagao.kernels" not in sys.modules
-        for module in ("dataclasses", "inspect", "nagao.fiber_trace"):
+        for module in ("dataclasses", "inspect", "nagao.fiber_trace", "multiprocessing", "pickle"):
             assert module not in sys.modules, module
         for name in nagao.shipped_family_names():
             fam = str(resources.files(nagao).joinpath(f"families/{{name}}.fam"))
