@@ -16,8 +16,8 @@ accumulated in fixed ascending-p order.
 
 The estimators read only the ledger, so this module loads the numpy-backed
 kernels only when a prime's trace is computed with them; a chi_sum family
-whose character sums stay at degree <= 3, as every shipped family's do, never
-loads them.
+whose character sums stay at degree <= 3, as every shipped family's do, and a
+coset family y^2 = G(x) + lam t^d never load them.
 """
 
 from __future__ import annotations
@@ -181,8 +181,12 @@ def iter_entries(spec: FamilySpec, primes: list[int], jobs: int = 1):
     workers: worker k computes rest[k::jobs] of the primes after the first.
 
     With workers, the parent computes primes[0] first, so whatever that prime
-    imports (numpy and the kernels, for a family that needs them) is loaded
-    once, before the fork; nagao starts no thread, so forking is safe.  A
+    imports (numpy and the kernels, for a family on the separable or grid
+    kernel) is loaded once, before the fork.  nagao starts no thread, but
+    importing numpy starts OpenBLAS's thread pool.  OpenBLAS stops that pool
+    before a fork (a pthread_atfork handler) and starts it again at the next
+    BLAS call, so a worker is forked from one thread; the kernels make no BLAS
+    call in any case, as their products are of integers.  A
     worker sends each entry's fields down its own pipe with marshal, and the
     parent reads the pipes round-robin.  A worker that ends before an entry
     leaves the parent to compute it, which re-raises the worker's error.  The

@@ -1,20 +1,31 @@
-"""Character sums S(f) = sum over x in F_p of chi(f(x)), for one prime.
+"""Character sums S(f) = sum over x in F_p of chi(f(x)), for one prime, and
+the coset kernel, which needs no numpy.
 
 char_sum reduces f to its squarefree part and sums that in closed form up to
 degree 2, by counting the points of an elliptic curve at degree 3
 (curve_order: baby-step giant-step on the curve and its quadratic twist,
 O(p^(1/4))), and with the O(p) numpy table sum (kernels.table_char_sum)
 above.  Results are memoized per prime on the FieldCtx, so the chi_sum kernel
-(fiber_sum) and trace_correction share them.  fiber_sum imports this module
-only where a character sum is needed, so a family whose sum is a bare root
-count never loads it.
+(fiber_sum) and trace_correction share them.
+
+coset_sum is the kernel for y^2 = G(x) + lam t^d, in O(p) and without numpy:
+one Python loop over the powers of a primitive root builds a table of
+discrete logarithms mod L <= 2d, and the values of the covers are bucketed by
+it in passes that run in C (itertools, bytes, Counter).
+
+fiber_sum imports this module only where a character sum or the coset kernel
+is needed, so a family whose sum is a bare root count never loads it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import accumulate, cycle, islice, repeat
 
 from . import fp_poly
+from .family_model import BivarPoly
+from .fiber_sum import split_covers
 from .prime_field import FieldCtx, legendre
 
 Point = tuple[int, int] | None  # None is the point at infinity O
@@ -161,3 +172,92 @@ def curve_trace(curve: tuple[int, ...], ctx: FieldCtx) -> int:
     if (len(curve) - 1) % 2 == 0:
         trace -= legendre(curve[-1], ctx.p)
     return trace
+
+
+def primitive_root(p: int) -> int:
+    """The least generator of F_p^*, tested against the prime factors of p - 1
+    (trial division)."""
+    n, factors, q = p - 1, [], 2
+    while q * q <= n:
+        if n % q == 0:
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        factors.append(n)
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+
+
+def _values(f: tuple[int, ...], p: int):
+    """f(0), ..., f(p - 1) mod p, as an iterator.
+
+    The forward differences of f at 0 are summed up level by level with
+    itertools.accumulate, exactly over Z and in C, and each value is then
+    reduced mod p once."""
+    ys = [fp_poly.eval_at(f, x, p) for x in range(max(len(f), 1))]
+    diffs = []
+    while ys:
+        diffs.append(ys[0])
+        ys = [b - a for a, b in zip(ys, ys[1:])]
+    values = repeat(diffs.pop())
+    for start in reversed(diffs):
+        values = accumulate(values, initial=start)
+    return map(int.__mod__, islice(values, p), repeat(p))
+
+
+def coset_sum(polys: tuple[BivarPoly, ...], ctx: FieldCtx) -> int:
+    """sum_c N_affine(c) when the cover with t is G(x) + lam t^d, d >= 3, and
+    the covers without t give the weight w(x) = prod_i (1 + chi(G_i(x))).
+
+    The sum is sum_x w(x) (p + S(G(x))) with S(u) = sum_c chi(u + lam c^d).
+    Substituting c -> mu c gives S(u mu^d) = chi(mu)^d S(u).  Let
+    e = gcd(d, p - 1) and g be a primitive root: g^e is a mu^d, so
+    S(g^(k + e)) = (-1)^e S(g^k), and S is constant on the L cosets of the
+    L-th powers, L = lcm(2, e).  So the sum needs the weight b[k] of the x
+    with G(x) in the coset of g^k (b[L] for G(x) = 0), S(0), and S(g^k) for
+    k < e:
+
+    - S(0) = chi(lam) (p - 1) at even d, and 0 at odd d.
+    - lam = 0 mod p: S(u) = p chi(u).
+    - e = 1: c^d runs over F_p, so S(u) = 0.
+    - d = 3: char_sum, by baby-step giant-step.
+    - d >= 4: as c^d runs e times over the e-th powers,
+      S(u) = chi(u) (1 + e R[log(lam / u) mod e]) for u != 0, where R[j] is
+      chi(1 + y) summed over y in g^j (F_p^*)^e: one more pass over F_p.
+    """
+    p = ctx.p
+    free, varying = split_covers(polys, p)
+    d = len(varying) - 1
+    lam = varying[d][0] if varying[d] else 0
+    e = math.gcd(d, p - 1)
+    L = e if e % 2 == 0 else 2 * e  # L <= 2d, so a class fits in a byte for d < 128
+    g = primitive_root(p)
+    cls = bytearray([L]) * p  # cls[u] = log_g(u) mod L, and L at u = 0
+    u = 1
+    for k in islice(cycle(range(L)), p - 1):
+        cls[u] = k
+        u = u * g % p
+    b = [0] * (L + 1)
+    classes = [bytes(map(cls.__getitem__, _values(f, p))) for f in (varying[0], *free)]
+    if free:  # a factor 1 + chi(G_i(x)) of w is 1 at a root, 2 at a square, 0 else
+        for (k, *rest), n in Counter(zip(*classes)).items():
+            b[k] += n * math.prod(1 if c == L else 2 - c % 2 * 2 for c in rest)
+    else:  # counting the bytes themselves, not 1-tuples, takes a third of the time
+        for k, n in Counter(classes[0]).items():
+            b[k] = n
+    if not lam:
+        base = [p * (-1) ** k for k in range(e)]
+    elif e == 1:
+        base = [0]
+    elif d == 3:
+        base = [char_sum((pow(g, k, p), 0, 0, lam), ctx) for k in range(e)]
+    else:
+        r = [0] * e
+        for (k, j), n in Counter(zip(cls[1:], cls[2:] + cls[:1])).items():  # (y, 1 + y)
+            if j < L:
+                r[k % e] += n * (-1) ** j
+        base = [(-1) ** k * (1 + e * r[(cls[lam] - k) % e]) for k in range(e)]
+    s = [(-1) ** (k - k % e) * base[k % e] for k in range(L)]
+    s.append(legendre(lam, p) * (p - 1) if d % 2 == 0 else 0)  # S(0)
+    return sum(n * (p + sk) for n, sk in zip(b, s))

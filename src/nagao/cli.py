@@ -37,7 +37,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", required=True, help="family file")
         if name != "verify":
             p.add_argument("--tmax", type=int, required=True, help="prime cutoff T")
-            p.add_argument("--jobs", type=int, default=1, help="worker processes")
+            p.add_argument("--jobs", type=int, default=1,
+                           help="worker processes: at most 4 per CPU, and 8 on any machine")
             p.add_argument("--resume", action="store_true")
             p.add_argument("--out", default=None, help="output directory")
             p.add_argument(

@@ -5,9 +5,10 @@ infinities.  kernel_name picks the kernel from the shape of F over Z, so a
 family uses one kernel at every prime.  The chi_sum kernel reduces the sum to
 a few character sums S(f) = sum_x chi(f(x)) (charsum) and root counts in
 F_p[x], so a chi_sum family whose sums stay at degree <= 3, as every shipped
-family's do, computes its traces without numpy.  The separable and grid
-kernels, and S(f) of degree >= 4, are in kernels, which is imported, and
-numpy with it, the first time one of them runs.
+family's do, computes its traces without numpy.  The coset kernel, for
+G(x) + lam t^d, is in charsum and needs no numpy either.  The separable and
+grid kernels, and S(f) of degree >= 4, are in kernels, which is imported,
+and numpy with it, the first time one of them runs.
 
 This module also owns the fiber classifier: component_count gives a fiber's
 number of rational components or refuses the fiber with UnsupportedFiber;
@@ -49,8 +50,9 @@ def kernel_name(polys: tuple[BivarPoly, ...]) -> str:
         return "grid"
     if not varying or varying[0].deg_t <= 2:
         return "chi_sum"
-    if all(i == 0 or j == 0 for i, j, _ in varying[0].terms):
-        return "separable"
+    terms = varying[0].terms
+    if all(i == 0 or j == 0 for i, j, _ in terms):  # G(x) + H(t)
+        return "coset" if sum(j > 0 for _, j, _ in terms) == 1 else "separable"
     return "grid"
 
 
@@ -197,6 +199,10 @@ def trace_sum(spec: FamilySpec, ctx: FieldCtx) -> tuple[int, list[UnsupportedFib
     name = kernel_name(spec.polys)
     if name == "chi_sum":
         n_aff = chi_sum(spec.polys, ctx)
+    elif name == "coset":
+        from .charsum import coset_sum
+
+        n_aff = coset_sum(spec.polys, ctx)
     else:
         from .kernels import KERNELS  # the numpy kernels
 

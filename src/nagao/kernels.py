@@ -1,7 +1,7 @@
 """The numpy kernels, the O(p^2) grid oracle and the O(p) character sums.
 
 trace_sum needs, for each prime p, sum_c N_affine(c) over the finite c, and
-gets it from one of three exact kernels (KERNELS).  kernel_name picks it from
+gets it from one of four exact kernels (KERNELS).  kernel_name picks it from
 the shape of F over Z; both are in fiber_sum, which imports this module, and
 numpy with it, the first time a prime needs a kernel or a sum from here:
 
@@ -9,9 +9,15 @@ numpy with it, the first time a prime needs a kernel or a sum from here:
   The sum reduces to character sums S(f) and root counts in F_p[x]; S(f) of
   degree <= 3 costs O(p^(1/4)) by baby-step giant-step, so this kernel loads
   numpy only for an S(f) of degree >= 4 (table_char_sum, O(p)).
-- separable: the cover involving t is G(x) + H(t) with deg H >= 3.  The sum
-  is sum_w chi(w) (h_G * h_H)(w) over the value histograms of G and H, one
-  cyclic convolution of length p by FFT, O(p log p).
+- coset (charsum.coset_sum): the cover involving t is G(x) + lam t^d with
+  d >= 3.  S(u) = sum_c chi(u + lam c^d) is constant on the cosets of the
+  lcm(2, gcd(d, p - 1))-th powers, so the sum is O(p) bucketing of the
+  values of G, in pure Python: trace_sum imports charsum for it, not this
+  module.
+- separable: the cover involving t is G(x) + H(t) with deg H >= 3 and H not
+  a monomial.  The sum is sum_w chi(w) (h_G * h_H)(w) over the value
+  histograms of G and H, a cyclic convolution of length p: an FFT of the
+  linear one, padded to a power of two, folded back mod p; O(p log p).
 - grid: every other shape.  The p x p grid of character values
   chi(F(x, c)) is evaluated columnwise in chunks with numpy: the
   t-coefficients of F are specialized to x once per prime, powers of c are
@@ -32,6 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fp_poly
+from .charsum import coset_sum
 from .family_model import BivarPoly, FamilySpec, involves_t
 from .fiber_sum import (
     UnsupportedFiber,
@@ -149,9 +156,10 @@ def _separable(polys: tuple[BivarPoly, ...], ctx: FieldCtx) -> int:
 
     With h_G(u) the sum of weight[x] over G(x) = u, and h_H(v) = #{c : H(c) =
     v}, the character sum is sum_w chi(w) (h_G * h_H)(w), a cyclic
-    convolution of length p.  Its entries are integers below 2p deg H, so an
-    FFT recovers them by rounding; a result that is not within 0.25 of an
-    integer raises.
+    convolution of length p.  The FFT computes the linear convolution, of
+    length 2p - 1, padded to a power of two, and its top half is folded back
+    mod p.  Its entries are integers below 2p deg H, so the FFT recovers them
+    by rounding; a result that is not within 0.25 of an integer raises.
     """
     from numpy import fft  # only families of this shape load it
 
@@ -164,10 +172,12 @@ def _separable(polys: tuple[BivarPoly, ...], ctx: FieldCtx) -> int:
     h_coeffs = (0,) + tuple(cs[0] if cs else 0 for cs in varying[1:])
     hist_g = np.bincount(_horner_vec(varying[0], xs, p), weights=weight, minlength=p)
     hist_h = np.bincount(_horner_vec(h_coeffs, xs, p), minlength=p)
-    conv = fft.irfft(fft.rfft(hist_g) * fft.rfft(hist_h), n=p)
+    n = 1 << (2 * p - 2).bit_length()  # the least power of two >= 2p - 1
+    conv = fft.irfft(fft.rfft(hist_g, n) * fft.rfft(hist_h, n), n)
     counts = np.rint(conv)
     if np.abs(conv - counts).max() >= 0.25:
         raise ArithmeticError(f"p = {p}: FFT convolution is not within 0.25 of an integer")
+    counts = counts[:p] + counts[p : 2 * p]
     chi = ctx.chi_table.astype(np.int64)
     return int(p * weight.sum() + chi @ counts.astype(np.int64))
 
@@ -179,6 +189,7 @@ def _grid_total(polys: tuple[BivarPoly, ...], ctx: FieldCtx) -> int:
 # each maps (polys, ctx) to sum_c N_affine(c) over the finite c
 KERNELS = {
     "chi_sum": chi_sum,
+    "coset": coset_sum,
     "separable": _separable,
     "grid": _grid_total,
 }

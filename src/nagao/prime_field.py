@@ -5,7 +5,9 @@ count is a character sum.  A single value chi(a), legendre or FieldCtx.chi,
 costs one modular power by Euler's criterion and loads no numpy; whole sums
 S(f) come from charsum's char_sum, memoized per prime in FieldCtx.char_sums.
 The O(p) table chi_table serves only the numpy kernels and S(f) of degree
->= 4, and is built the first time one of them reads it.
+>= 4, and is built the first time one of them reads it; the coset kernel
+(charsum.coset_sum) reads characters off its own table of discrete
+logarithms instead.
 """
 
 from __future__ import annotations

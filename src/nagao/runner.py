@@ -66,6 +66,9 @@ class RunConfig(NamedTuple):
             raise ValueError("tmax must be >= 3")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        limit = max(8, 4 * (os.cpu_count() or 1))  # each job forks a worker
+        if self.jobs > limit:
+            raise ValueError(f"jobs must be <= {limit} (4 per CPU, and at least 8)")
         if self.checkpoints is not None:
             check_checkpoints(self.checkpoints)
             if self.checkpoints[-1] > self.t_max:

@@ -180,6 +180,19 @@ def test_inconsistent_family_declaration_exits_1(tmp_path, family_file, capsys, 
     assert not (tmp_path / "o").exists()
 
 
+def test_jobs_above_the_bound_exit_1_before_forking(tmp_path, family_file, monkeypatch, capsys):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    out = tmp_path / "out"
+    rc = main(["run", "--family", family_file("shioda_g1"), "--tmax", "2000000",
+               "--jobs", "100000", "--out", str(out)])
+    assert rc == 1
+    assert "error: jobs must be <=" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_checkpoints_exit_1(tmp_path, family_file):
     rc = main([
         "run", "--family", family_file("shioda_g1"),
@@ -517,16 +530,16 @@ def test_commands_do_not_import_sympy(tmp_path):
 def test_ledger_only_commands_do_not_import_numpy(tmp_path):
     """Over a complete ledger, run, series and residue only read it: no numpy.
     A pool run with primes to compute on a family that needs numpy, the
-    separable cubic_t, loads the kernels in the parent, before the workers
-    fork, so that they do not each import numpy again."""
+    separable x^3 - x + t^3 + t, loads the kernels in the parent, before the
+    workers fork, so that they do not each import numpy again."""
     names = nagao.shipped_family_names()
     for name in names:
         fam = str(resources.files(nagao).joinpath(f"families/{name}.fam"))
         proc = _python(["-m", "nagao.cli", "run", "--family", fam, "--tmax", "60", "--out", name],
                        tmp_path)
         assert proc.returncode == 0, proc.stderr
-    (tmp_path / "cubic_t.fam").write_text(
-        'family "cubic_t"\nkind hyperelliptic\npoly x^3 - x + t^3\n'
+    (tmp_path / "cubic_t_plus_t.fam").write_text(
+        'family "cubic_t_plus_t"\nkind hyperelliptic\npoly x^3 - x + t^3 + t\n'
         "genus 1\ntrace none\ninfinity trace_zero\n"
     )
     code = textwrap.dedent(f"""
@@ -541,8 +554,8 @@ def test_ledger_only_commands_do_not_import_numpy(tmp_path):
                 assert main(args) == 0, args
         assert "numpy" not in sys.modules, "numpy was imported"
         assert "nagao.kernels" not in sys.modules
-        assert main(["run", "--jobs", "2", "--family", "cubic_t.fam", "--tmax", "120",
-                     "--out", "cubic_t"]) == 0
+        assert main(["run", "--jobs", "2", "--family", "cubic_t_plus_t.fam", "--tmax", "120",
+                     "--out", "cubic_t_plus_t"]) == 0
         assert "nagao.kernels" in sys.modules
     """)
     proc = _python(["-c", code], tmp_path)
@@ -552,11 +565,16 @@ def test_ledger_only_commands_do_not_import_numpy(tmp_path):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_root_count_runs_do_not_import_numpy(tmp_path, jobs):
     """Every shipped family takes chi_sum with character sums of degree <= 3,
-    so a run that computes primes loads neither numpy nor the kernels.  A run
-    loads only run-path code: no dataclasses (nor the inspect module that
-    they import), not the scalar references of fiber_trace, which verify
-    loads and checks the kernels against, and, at either --jobs, neither
-    multiprocessing nor pickle: the workers are forked and send marshal."""
+    and cubic_t, y^2 = x^3 - x + t^3, takes the coset kernel, so a run that
+    computes primes loads neither numpy nor the kernels.  A run loads only
+    run-path code: no dataclasses (nor the inspect module that they import),
+    not the scalar references of fiber_trace, which verify loads and checks
+    the kernels against, and, at either --jobs, neither multiprocessing nor
+    pickle: the workers are forked and send marshal."""
+    (tmp_path / "cubic_t.fam").write_text(
+        'family "cubic_t"\nkind hyperelliptic\npoly x^3 - x + t^3\n'
+        "genus 1\ntrace none\ninfinity trace_zero\n"
+    )
     code = textwrap.dedent(f"""
         import contextlib, io, sys
         from importlib import resources
@@ -566,6 +584,8 @@ def test_root_count_runs_do_not_import_numpy(tmp_path, jobs):
             fam = str(resources.files(nagao).joinpath(f"families/{{name}}.fam"))
             args = ["run", "--jobs", {jobs!r}, "--family", fam, "--tmax", "400", "--out", name]
             assert main(args) == 0, args
+        args = ["run", "--jobs", {jobs!r}, "--family", "cubic_t.fam", "--tmax", "400", "--out", "c"]
+        assert main(args) == 0, args
         assert "numpy" not in sys.modules, "numpy was imported"
         assert "nagao.kernels" not in sys.modules
         for module in ("dataclasses", "inspect", "nagao.fiber_trace", "multiprocessing", "pickle"):

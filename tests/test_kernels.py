@@ -1,6 +1,7 @@
 """The per-prime kernels and character sums against enumeration, the grid
 and the scalar per-fiber path."""
 
+import math
 import os
 import random
 import subprocess
@@ -49,7 +50,7 @@ infinity affine_plus 2 1
 """
 
 
-# the benchmark's t-degree-3 family, a separable G(x) + H(t)
+# the benchmark's t-degree-3 family, G(x) + lam t^d: the coset kernel
 CUBIC_T = """\
 family "cubic_t"
 kind hyperelliptic
@@ -58,6 +59,9 @@ genus 1
 trace none
 infinity trace_zero
 """
+
+# a separable G(x) + H(t) whose H is not a monomial: the separable kernel
+CUBIC_T_PLUS_T = CUBIC_T.replace("cubic_t", "cubic_t_plus_t").replace("t^3", "t^3 + t")
 
 # genus-1 single covers whose fiber at c = 0 component_count refuses
 REFUSED_AT_0 = {
@@ -75,6 +79,8 @@ def load_family(name):
         return parse_family(SWAPPED_MULTICOVER)
     if name == "cubic_t":
         return parse_family(CUBIC_T)
+    if name == "cubic_t_plus_t":
+        return parse_family(CUBIC_T_PLUS_T)
     if name in REFUSED_AT_0 or name == "lead_varies":
         return parse_family(
             f'family "{name}"\nkind hyperelliptic\npoly {REFUSED_AT_0.get(name, LEAD_VARIES)}\n'
@@ -225,7 +231,8 @@ def test_trace_sum_refuses_what_the_full_locus_refuses(name):
         ("shioda_g2", "chi_sum"),
         ("multicover_ex2", "chi_sum"),
         ("multicover_ex2_swapped", "chi_sum"),
-        ("cubic_t", "separable"),
+        ("cubic_t", "coset"),
+        ("cubic_t_plus_t", "separable"),
     ],
 )
 def test_kernel_name_of_test_families(name, kernel):
@@ -344,14 +351,31 @@ def t2_cover(draw, parity):
 
 @st.composite
 def separable_cover(draw):
-    """G(x) + H(t) with deg H in {3, 4, 5}."""
+    """G(x) + H(t) with deg H in {3, 4, 5} and a second term in H with t, so
+    that H is no monomial lam t^d, which takes the coset kernel."""
     deg_g = draw(st.integers(1, 5))
     deg_h = draw(st.sampled_from([3, 4, 5]))
     coeffs = {(i, 0): draw(small_coeff) for i in range(deg_g)}
     coeffs[(deg_g, 0)] = draw(nonzero_coeff)
     coeffs.update({(0, j): draw(small_coeff) for j in range(1, deg_h)})
+    coeffs[(0, draw(st.integers(1, deg_h - 1)))] = draw(nonzero_coeff)
     coeffs[(0, deg_h)] = draw(nonzero_coeff)
     return BivarPoly.from_dict(coeffs)
+
+
+@st.composite
+def coset_case(draw):
+    """(G(x) + lam t^d, p) with d in 3..7, p dividing lam in some draws and,
+    for odd d, gcd(d, p - 1) = 1 in some draws and > 1 in others (at even d
+    it is always > 1)."""
+    d = draw(st.integers(3, 7))
+    coprime = d % 2 == 1 and draw(st.booleans())
+    p = draw(st.sampled_from([p for p in SMALL_PRIMES if (math.gcd(d, p - 1) == 1) == coprime]))
+    deg_g = draw(st.integers(1, 5))
+    coeffs = {(i, 0): draw(small_coeff) for i in range(deg_g)}
+    coeffs[(deg_g, 0)] = draw(nonzero_coeff)
+    coeffs[(0, d)] = draw(nonzero_coeff) * draw(st.sampled_from([1, p]))
+    return BivarPoly.from_dict(coeffs), p
 
 
 @st.composite
@@ -473,6 +497,35 @@ def test_separable_matches_enumeration(cover, free, p):
     assert_kernel_counts("separable", polys, p)
 
 
+@settings(max_examples=80, deadline=None)
+@given(case=coset_case(), free=st.none() | t_free_cover())
+def test_coset_matches_enumeration(case, free):
+    cover, p = case
+    polys = (cover,) if free is None else (free, cover)
+    assert_kernel_counts("coset", polys, p)
+
+
+@pytest.mark.parametrize(
+    "poly", ["x^3 - x + t^3", "x^3 - x + t^7 + 1", "x^3 + t^7 + 1", "x^4 + x + 1 + 7*t^6"]
+)
+def test_coset_equals_separable_at_large_primes(poly):
+    """Near 10^4, where the grid is slow, against the FFT of separable."""
+    polys = (parse_poly(poly),)
+    for p in (10007, 10039):  # gcd(d, 10006) <= 2, and 10038 = 2 3 7 239
+        assert charsum.coset_sum(polys, make_field(p)) == kernels._separable(polys, make_field(p))
+
+
+def test_separable_fft_is_padded_and_equals_grid():
+    """The linear convolution of length 2p - 1 is padded to 2048 at p = 1009
+    and folded back mod p; its sum equals the grid's, with and without a
+    cover without t."""
+    for polys in ((parse_poly("x^3 - x + t^3 + t"),),
+                  (parse_poly("x^2 + 1"), parse_poly("x^4 + 2*x + t^5 - 3*t^2 + 1"))):
+        assert kernel_name(polys) == "separable"
+        for p in (997, 1009):
+            assert kernels._separable(polys, make_field(p)) == kernels._grid_total(polys, make_field(p))
+
+
 def test_numpy_fft_loads_only_for_separable_families():
     code = (
         "import sys\n"
@@ -481,8 +534,9 @@ def test_numpy_fft_loads_only_for_separable_families():
         "from nagao.prime_field import make_field\n"
         "for name in ('constant_E', 'shioda_g1', 'shioda_g2', 'multicover_ex2'):\n"
         "    average_trace(load_shipped_family(name), make_field(101))\n"
-        "assert 'numpy.fft' not in sys.modules\n"
         f"average_trace(parse_family({CUBIC_T!r}), make_field(101))\n"
+        "assert 'numpy' not in sys.modules\n"
+        f"average_trace(parse_family({CUBIC_T_PLUS_T!r}), make_field(101))\n"
         "assert 'numpy.fft' in sys.modules\n"
     )
     src = str(Path(nagao.__file__).resolve().parents[1])

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -70,6 +71,15 @@ def test_run_config_validation():
         with pytest.raises(ValueError, match="every s must exceed 1"):
             RunConfig("f", 100, "o", s_list=[1.5, bad_s]).validate()
     RunConfig("f", 100, "o", checkpoints=[10, 100], s_list=[1.5]).validate()
+
+
+@pytest.mark.parametrize("cpus, limit", [(None, 8), (1, 8), (2, 8), (3, 12), (64, 256)])
+def test_jobs_are_at_most_four_per_cpu_and_at_least_eight_allowed(monkeypatch, cpus, limit):
+    """The bound is checked at validation, before any worker is forked."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    RunConfig("f", 100, "o", jobs=limit).validate()
+    with pytest.raises(ValueError, match=f"jobs must be <= {limit}"):
+        RunConfig("f", 100, "o", jobs=limit + 1).validate()
 
 
 def test_default_checkpoints():
@@ -264,9 +274,22 @@ def test_verify_names_the_root_count_kernel(name):
 
 def test_summary_and_verify_name_the_separable_kernel(tmp_path):
     spec = parse_family(
+        'family "cubic_t_plus_t"\nkind hyperelliptic\npoly x^3 - x + t^3 + t\n'
+        "genus 1\ntrace none\ninfinity trace_zero\n"
+    )
+    result = run_pipeline(spec, make_config(tmp_path, "cubic_t_plus_t", t_max=50))
+    assert summary_dict(result, [50])["kernel"] == "separable"
+    assert all(check.passed for check in verify_family(spec, p_max=13))
+
+
+def test_summary_and_verify_name_the_coset_kernel(tmp_path):
+    """y^2 = x^3 - x + t^3 is G(x) + lam t^d: the coset kernel."""
+    spec = parse_family(
         'family "cubic_t"\nkind hyperelliptic\npoly x^3 - x + t^3\n'
         "genus 1\ntrace none\ninfinity trace_zero\n"
     )
     result = run_pipeline(spec, make_config(tmp_path, "cubic_t", t_max=50))
-    assert summary_dict(result, [50])["kernel"] == "separable"
-    assert all(check.passed for check in verify_family(spec, p_max=13))
+    assert summary_dict(result, [50])["kernel"] == "coset"
+    checks = verify_family(spec, p_max=13)
+    assert checks[3].name == "trace_sum: coset equals grid (p <= 13)"
+    assert all(check.passed for check in checks)
