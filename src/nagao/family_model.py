@@ -306,17 +306,12 @@ def _log2_size(f: BivarPoly) -> float:
 
 
 class InfinityRule(NamedTuple):
-    """How the fibers are completed over x = infinity.
-
-    trace_zero, for a single cover: the points over x = infinity follow
-    from the x-degree.  affine_plus, for a multicover: every finite fiber
-    has nu of them, 0 <= nu <= 4, and m = 1 rational component.  Either way
-    the fiber over t = infinity has trace 0 when a cover involves t, and is
-    the curve of every finite fiber when none does."""
+    """The infinity line, derived from F by validate_family: trace_zero for
+    one cover, affine_plus nu for two, nu = len(infinity_leads).  Each fiber's
+    points over x = infinity follow infinity_leads, not this line."""
 
     kind: str
     nu: int = 0
-    m: int = 1
 
 
 class TraceSpec(NamedTuple):
@@ -372,7 +367,7 @@ class FiberConfiguration(NamedTuple):
 
 class FamilySpec(NamedTuple):
     name: str
-    kind: str  # hyperelliptic | multicover | constant
+    kind: str  # hyperelliptic | multicover | constant; derived, see validate_family
     polys: tuple[BivarPoly, ...]
     genus: int
     trace: TraceSpec
@@ -387,6 +382,31 @@ def involves_t(spec: FamilySpec) -> bool:
     return any(poly.deg_t > 0 for poly in spec.polys)
 
 
+def subcovers(polys: tuple[BivarPoly, ...]) -> tuple[BivarPoly, ...]:
+    """The products G_I over the subsets I of the covers, the empty product
+    first: by Kani-Rosen, Jac(C) ~ prod over I != {} of Jac(w^2 = G_I)."""
+    out = [_ONE]
+    for poly in polys:
+        out += [g * poly for g in out]
+    return tuple(out)
+
+
+def fiber_genus(polys: tuple[BivarPoly, ...]) -> int:
+    """Genus of the generic fiber: sum over I != {} of (deg G_I - 1) // 2."""
+    return sum((g.deg_x - 1) // 2 for g in subcovers(polys)[1:])
+
+
+@functools.lru_cache(maxsize=64)
+def infinity_leads(polys: tuple[BivarPoly, ...]) -> tuple[tuple[int, ...], ...]:
+    """The leading x-coefficients lc_I in Z[t] of the G_I of even x-degree,
+    (1,) for the empty product first.
+
+    A finite fiber without an x-degree drop has sum_I chi(lc_I(c)) points over
+    x = infinity: w^2 = G_I is ramified there at odd degree, and splits there
+    at even degree exactly when chi(lc_I) = 1."""
+    return tuple(g.leading_x_coeff() for g in subcovers(polys) if g.deg_x % 2 == 0)
+
+
 class FiberModel(NamedTuple):
     """Specialization of the family at a single point of P^1(F_p).
 
@@ -396,9 +416,6 @@ class FiberModel(NamedTuple):
     c: int | None
     polys: tuple[tuple[int, ...], ...]
     generic_deg: tuple[int, ...]
-    kind: str
-    nu: int = 0  # declared points at infinity for affine_plus families
-    m_declared: int = 1
 
     @property
     def at_infinity(self) -> bool:
@@ -417,59 +434,44 @@ MAX_DEGREE = 7
 
 
 def validate_family(spec: FamilySpec) -> FamilySpec:
-    if spec.kind not in ("hyperelliptic", "multicover", "constant"):
-        raise ValidationError(f"unknown kind {spec.kind!r}")
-    if spec.genus < 1:
-        raise ValidationError("genus must be >= 1")
+    """Check that F is a family of curves, and that the kind, genus and
+    infinity lines are the ones F gives."""
     n_polys = len(spec.polys)
-    if spec.kind == "multicover":
-        if n_polys != 2:
-            raise ValidationError("multicover requires exactly 2 poly lines")
-    elif n_polys != 1:
-        raise ValidationError(f"kind {spec.kind} requires exactly 1 poly line")
-    if spec.kind == "constant" and involves_t(spec):
-        raise ValidationError("constant family must not involve t")
+    if not 1 <= n_polys <= 2:
+        raise ValidationError(f"{spec.name}: a family has one or two poly lines, not {n_polys}")
     degrees = [("x-degree", poly.deg_x) for poly in spec.polys]
     degrees += [("t-degree", poly.deg_t) for poly in spec.polys]
     degrees += [("trace curve x-degree", len(curve) - 1) for curve in spec.trace.curves]
     for what, d in degrees:
         if d > MAX_DEGREE:
             raise ValidationError(f"{spec.name}: {what} {d} exceeds the bound {MAX_DEGREE}")
+    if any(poly.deg_x < 1 for poly in spec.polys):
+        raise ValidationError("each cover must have positive x-degree")
     # over Q(t), with lc_x != 0, F is squarefree in x iff Res_x(F, F_x) != 0,
     # and F1*F2 is iff both are and Res_x(F1, F2) != 0
-    not_squarefree = f"{spec.name}: generic fiber polynomial is not squarefree in x over Q(t)"
-    loci = singular_locus_polys(spec)
-    for i, poly in enumerate(spec.polys):
-        if poly.deg_x < 1:
-            raise ValidationError("each cover must have positive x-degree")
-        if not loci[2 * i]:
-            raise ValidationError(not_squarefree)
-    if spec.kind == "multicover" and not loci[4]:
-        raise ValidationError(not_squarefree)
-    if spec.kind in ("hyperelliptic", "constant"):
-        d = spec.polys[0].deg_x
-        if d not in (2 * spec.genus + 1, 2 * spec.genus + 2):
-            raise ValidationError(
-                f"genus {spec.genus} inconsistent with x-degree {d} "
-                f"(expected {2 * spec.genus + 1} or {2 * spec.genus + 2})"
-            )
+    if not all(singular_locus_polys(spec)[::2]):
+        raise ValidationError(f"{spec.name}: generic fiber polynomial is not squarefree in x over Q(t)")
     for disc in trace_curve_discriminants(spec):
         if not disc:  # also 0 for a constant curve
             raise ValidationError(
                 f"{spec.name}: trace curve polynomial is not squarefree of positive degree"
             )
-    if spec.kind == "multicover":
-        rule = spec.infinity_rule
-        if rule.kind != "affine_plus":
-            raise ValidationError(
-                "multicover families must declare 'infinity affine_plus <nu> <m>'"
-            )
-        # a smooth fiber is one geometrically irreducible curve, and a
-        # degree-4 cover of the x-line has at most 4 points over x = infinity
-        if rule.m != 1 or not 0 <= rule.nu <= 4:
-            raise ValidationError(f"{spec.name}: affine_plus needs 0 <= nu <= 4 and m = 1")
-    elif spec.infinity_rule.kind != "trace_zero":
-        raise ValidationError(f"{spec.kind} families must declare 'infinity trace_zero'")
+    genus = fiber_genus(spec.polys)
+    if genus < 1:
+        raise ValidationError(f"{spec.name}: the generic fiber has genus {genus}; it must be >= 1")
+    if n_polys == 2:
+        kinds, rule = ["multicover"], InfinityRule("affine_plus", len(infinity_leads(spec.polys)))
+    else:
+        kinds = ["hyperelliptic"] + ([] if involves_t(spec) else ["constant"])
+        rule = InfinityRule("trace_zero")
+    for key, declared, derived in (
+        ("kind", spec.kind, kinds),
+        ("genus", str(spec.genus), [str(genus)]),
+        ("infinity", _render_infinity(spec.infinity_rule), [_render_infinity(rule)]),
+    ):
+        if declared not in derived:
+            raise ValidationError(f"{spec.name}: the file declares '{key} {declared}', but F gives "
+                                  + " or ".join(f"'{key} {d}'" for d in derived))
     return spec
 
 
@@ -575,9 +577,13 @@ def parse_family(text: str) -> FamilySpec:
                 infinity = InfinityRule("trace_zero")
             elif len(parts) == 3 and parts[0] == "affine_plus":
                 try:
-                    infinity = InfinityRule("affine_plus", nu=int(parts[1]), m=int(parts[2]))
+                    nu, m = int(parts[1]), int(parts[2])
                 except ValueError:
                     raise ParseError("affine_plus takes two integers", lineno)
+                if m != 1:  # a fiber that is not refused is one curve
+                    raise ValidationError(f"line {lineno}: 'infinity {rest}' declares m = {m}, "
+                                          "but every fiber has m = 1")
+                infinity = InfinityRule("affine_plus", nu)
             else:
                 raise ParseError(f"bad infinity rule {rest!r}", lineno)
         elif key == "badprimes":
@@ -652,11 +658,7 @@ def render_family(spec: FamilySpec) -> str:
         for curve in spec.trace.curves:
             poly = BivarPoly.from_dict({(i, 0): c for i, c in enumerate(curve)})
             lines.append(f"trace curve {poly.render()}")
-    rule = spec.infinity_rule
-    if rule.kind == "affine_plus":
-        lines.append(f"infinity affine_plus {rule.nu} {rule.m}")
-    else:
-        lines.append(f"infinity {rule.kind}")
+    lines.append(f"infinity {_render_infinity(spec.infinity_rule)}")
     if spec.extra_bad_primes:
         lines.append("badprimes " + " ".join(str(q) for q in sorted(spec.extra_bad_primes)))
     if spec.fiber_config:
@@ -665,6 +667,10 @@ def render_family(spec: FamilySpec) -> str:
                 f'fiber {fd.label} n={fd.n} orbits={fd.orbits} m="{_render_m_rule(fd.m_rule)}"'
             )
     return "\n".join(lines) + "\n"
+
+
+def _render_infinity(rule: InfinityRule) -> str:
+    return f"affine_plus {rule.nu} 1" if rule.kind == "affine_plus" else rule.kind
 
 
 def _render_m_rule(rule: MRule) -> str:
@@ -842,17 +848,16 @@ def fiber_at(spec: FamilySpec, ctx: FieldCtx, c: int | str) -> FiberModel:
     Over infinity, a family that involves t gets no polys, and trace 0."""
     if ctx.p in bad_primes(spec):
         raise BadPrime(f"p = {ctx.p} lies in the bad set of {spec.name}")
-    rule = spec.infinity_rule
     degs = tuple(poly.deg_x for poly in spec.polys)
     if c in (INFINITY, None):
         polys = () if involves_t(spec) else tuple(
             poly.specialize_t(0, ctx.p) for poly in spec.polys)
-        return FiberModel(None, polys, degs, spec.kind, rule.nu, rule.m)
+        return FiberModel(None, polys, degs)
     c = int(c)
     if not 0 <= c < ctx.p:
         raise ValueError(f"c = {c} not in F_{ctx.p}")
     polys = tuple(poly.specialize_t(c, ctx.p) for poly in spec.polys)
-    return FiberModel(c, polys, degs, spec.kind, rule.nu, rule.m)
+    return FiberModel(c, polys, degs)
 
 
 @functools.lru_cache(maxsize=64)

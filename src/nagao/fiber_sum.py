@@ -1,8 +1,9 @@
 """Sum of the fiber traces over P^1(F_p) for one prime, and its refusals.
 
 trace_sum runs the family's kernel and adds the points over the two
-infinities.  kernel_name picks the kernel from the shape of F over Z, so a
-family uses one kernel at every prime.  The chi_sum kernel reduces the sum to
+infinities, over x = infinity by the one rule of family_model.infinity_leads.
+kernel_name picks the kernel from the shape of F over Z, so a family uses
+one kernel at every prime.  The chi_sum kernel reduces the sum to
 a few character sums S(f) = sum_x chi(f(x)) (charsum) and root counts in
 F_p[x], so a chi_sum family whose sums stay at degree <= 3, as every shipped
 family's do, computes its traces without numpy.  The coset kernel, for
@@ -27,6 +28,7 @@ from .family_model import (
     FiberModel,
     bad_primes,
     fiber_at,
+    infinity_leads,
     involves_t,
     singular_locus_polys,
 )
@@ -156,20 +158,22 @@ def locus_roots(loci, ctx: FieldCtx) -> list[int]:
 def component_count(ctx: FieldCtx, fiber: FiberModel) -> int:
     """Number of F_p-rational components of the fiber.
 
-    Multicover: the m of the family's affine_plus rule, for every finite
-    fiber.  Single cover, f = s^2 * ftilde with ftilde squarefree nonconstant
-    (s = 1 for a smooth fiber): the plane curve y^2 = f is irreducible,
-    m = 1.  An x-degree drop, or ftilde constant (f a constant times a
-    square): raises UnsupportedFiber."""
-    if fiber.kind == "multicover":
-        return fiber.m_declared
-    f = fiber.polys[0]
-    if len(f) - 1 < fiber.generic_deg[0]:
-        raise UnsupportedFiber(ctx.p, fiber.c, "x-degree drop")
-    if len(fp_poly.odd_multiplicity_part(f, ctx.p)) <= 1:
-        raise UnsupportedFiber(
-            ctx.p, fiber.c, "fiber polynomial is a constant times a square"
-        )
+    Each cover f = s^2 * ftilde with ftilde squarefree nonconstant (s = 1 for
+    a smooth fiber) makes y^2 = f irreducible, and the fiber gets m = 1.  An
+    x-degree drop of a cover, or a cover that is a constant times a square,
+    raises UnsupportedFiber.
+
+    Not refused, though reducible: two covers neither of which is a constant
+    times a square, while G_1 G_2 is one.  y^2 = x^3 - x, z^2 = x^3 - x + t
+    at c = 0 has the two components z = +-y, yet gets m = 1.  Such c are
+    roots of Res_x(F_1, F_2), which are not searched."""
+    for f, d in zip(fiber.polys, fiber.generic_deg):
+        if len(f) - 1 < d:
+            raise UnsupportedFiber(ctx.p, fiber.c, "x-degree drop")
+        if len(fp_poly.odd_multiplicity_part(f, ctx.p)) <= 1:
+            raise UnsupportedFiber(
+                ctx.p, fiber.c, "fiber polynomial is a constant times a square"
+            )
     return 1
 
 
@@ -187,12 +191,12 @@ def refused(spec: FamilySpec, ctx: FieldCtx, sing_idx) -> list[UnsupportedFiber]
 def trace_sum(spec: FamilySpec, ctx: FieldCtx) -> tuple[int, list[UnsupportedFiber]]:
     """Sum of the fiber traces over P^1(F_p), and the fibers it refuses.
 
-    A multicover's affine_plus rule fixes nu and m, so it refuses no fiber.
-    A single cover has m = 1, one point over x = infinity at odd x-degree and
-    1 + chi(lead) at even; component_count refuses its fiber over c only at a
-    root of lead (a degree drop) or, at even degree, elsewhere on the singular
-    locus (a constant times a square).  The fiber over t = infinity has trace
-    0 unless no cover involves t: then it is the curve of every finite fiber.
+    A finite fiber has m = 1 and sum_I chi(lc_I(c)) points over x = infinity
+    (infinity_leads), which sum over c to p for the empty product and S(lc_I)
+    for the others.  component_count refuses a fiber only at a root of some
+    lc_i (a degree drop) or, for a cover of even degree, of Res_x(F_i, F_i')
+    (a constant times a square).  The fiber over t = infinity has trace 0
+    unless no cover involves t: then it is the curve of every finite fiber.
     """
     p = ctx.p
     require_good(spec, p)
@@ -207,18 +211,15 @@ def trace_sum(spec: FamilySpec, ctx: FieldCtx) -> tuple[int, list[UnsupportedFib
         from .kernels import KERNELS  # the numpy kernels
 
         n_aff = KERNELS[name](spec.polys, ctx)
-    rule = spec.infinity_rule
-    if rule.kind == "affine_plus":
-        total, loci = p * (1 + p * rule.m - rule.nu) - n_aff, ()
-    else:  # summed over c, x = infinity has p points, plus S(lead) at even degree
-        poly = spec.polys[0]
-        total, loci = p * p - n_aff, singular_locus_polys(spec)  # (Res_x(F, F_x), lead)
-        if poly.deg_x % 2:
-            loci = loci[1:]
-        else:
-            from .charsum import char_sum
+    total = p * p - n_aff  # sum_c (1 + p - N_aff(c) - 1): the empty product
+    leads = infinity_leads(spec.polys)[1:]
+    if leads:
+        from .charsum import char_sum
 
-            total -= char_sum(poly.leading_x_coeff(), ctx)
+        total -= sum(char_sum(lc, ctx) for lc in leads)
     if not involves_t(spec):
         total += total // p
-    return total, refused(spec, ctx, locus_roots(loci, ctx))
+    loci = singular_locus_polys(spec)  # Res_x(F_i, F_i') and lc_i per cover
+    search = [loci[2 * i + k] for i, poly in enumerate(spec.polys)
+              for k in (0, 1) if k or poly.deg_x % 2 == 0]
+    return total, refused(spec, ctx, locus_roots(search, ctx))

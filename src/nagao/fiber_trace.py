@@ -57,21 +57,17 @@ def count_affine(ctx: FieldCtx, fiber: FiberModel) -> int:
 
 
 def points_at_infinity(ctx: FieldCtx, fiber: FiberModel) -> int:
-    """Points of the smooth completion lying over x = infinity.
-
-    Odd-degree hyperelliptic: one (ramified) point.  Even degree: two points
-    when the leading coefficient is a square, none otherwise.  Multicover
-    families declare the constant count nu in their infinity rule.  An
+    """Points of the smooth completion lying over x = infinity: the rule of
+    family_model.infinity_leads, sum_I chi(lc_I) over the subsets I of the
+    covers whose product G_I has even degree, the empty one included.  An
     x-degree drop changes the model at infinity and raises UnsupportedFiber."""
-    if fiber.kind == "multicover":
-        return fiber.nu
-    f = fiber.polys[0]
-    d = fiber.generic_deg[0]
-    if len(f) - 1 < d:
-        raise UnsupportedFiber(ctx.p, fiber.c, "x-degree drop")
-    if d % 2 == 1:
-        return 1
-    return 1 + ctx.chi(f[-1])
+    p = ctx.p
+    leads = [(1, 0)]  # (lc_I mod p, deg G_I)
+    for f, d in zip(fiber.polys, fiber.generic_deg):
+        if len(f) - 1 < d:
+            raise UnsupportedFiber(p, fiber.c, "x-degree drop")
+        leads += [(lc * f[-1] % p, e + d) for lc, e in leads]
+    return sum(ctx.chi(lc) for lc, e in leads if e % 2 == 0)
 
 
 def fiber_trace(ctx: FieldCtx, spec: FamilySpec, c) -> FiberTraceRecord:

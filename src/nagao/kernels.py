@@ -25,10 +25,9 @@ numpy with it, the first time a prime needs a kernel or a sum from here:
   chunk when the intermediate bound allows.  A cover that does not involve t
   has the same values in every column, so numpy broadcasts one column.
 
-The grid also gives every finite fiber's trace (fiber_arrays), which
-`nagao verify` and the tests use as the oracle for trace_sum;
-points_over_x_infinity is the per-fiber oracle of the points over
-x = infinity.
+The grid also gives every finite fiber's trace (fiber_arrays, with the
+points over x = infinity of family_model.infinity_leads); `nagao verify` and
+the tests use it as the oracle for trace_sum.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import numpy as np
 
 from . import fp_poly
 from .charsum import coset_sum
-from .family_model import BivarPoly, FamilySpec, involves_t
+from .family_model import BivarPoly, FamilySpec, infinity_leads, involves_t
 from .fiber_sum import (
     UnsupportedFiber,
     chi_sum,
@@ -195,15 +194,6 @@ KERNELS = {
 }
 
 
-def points_over_x_infinity(poly: BivarPoly, ctx: FieldCtx) -> np.ndarray:
-    """Points over x = infinity of y^2 = F(x, c) for every finite c, from the
-    generic x-degree: 1 when it is odd, 1 + chi(lead(c)) when it is even."""
-    if poly.deg_x % 2 == 1:
-        return np.ones(ctx.p, dtype=np.int64)
-    lead = fp_poly.trim(c % ctx.p for c in poly.leading_x_coeff())
-    return 1 + _chi_at_all_x(lead, ctx).astype(np.int64)
-
-
 class FiberArrays(NamedTuple):
     """Traces of every finite fiber of one prime, plus singularity flags."""
 
@@ -214,21 +204,19 @@ class FiberArrays(NamedTuple):
 
 
 def fiber_arrays(spec: FamilySpec, ctx: FieldCtx) -> FiberArrays:
-    """Traces a[c] = 1 + p*m - N for all finite c from the grid.
+    """Traces a[c] = 1 + p*m - N(c), m = 1, for all finite c from the grid,
+    with sum_I chi(lc_I(c)) points over x = infinity (infinity_leads).
 
-    The same rules as trace_sum, fiber by fiber; the singular mask covers
-    multicovers too.
+    The same rules as trace_sum, fiber by fiber, over the whole singular locus.
     """
     p = ctx.p
     require_good(spec, p)
-    n_aff = affine_counts(spec, ctx)
+    n_inf = 1 + sum(_chi_at_all_x(fp_poly.trim(c % p for c in lc), ctx).astype(np.int64)
+                    for lc in infinity_leads(spec.polys)[1:])
     sing_idx = singular_c_values(spec, ctx)
     singular = np.zeros(p, dtype=bool)
     singular[sing_idx] = True
-    if spec.kind == "multicover":
-        rule = spec.infinity_rule
-        return FiberArrays(p, 1 + p * rule.m - (n_aff + rule.nu), singular, [])
-    a = (p + 1) - (n_aff + points_over_x_infinity(spec.polys[0], ctx))
+    a = (p + 1) - (affine_counts(spec, ctx) + n_inf)
     return FiberArrays(p, a, singular, refused(spec, ctx, sing_idx))
 
 

@@ -37,7 +37,7 @@ from .accumulator import (
     good_primes,
     iter_entries,
 )
-from .family_model import FamilySpec, bad_primes, fiber_at
+from .family_model import FamilySpec, bad_primes, fiber_at, fiber_genus
 from .fiber_sum import kernel_name
 from .prime_field import make_field, primes_in_range
 
@@ -302,14 +302,16 @@ class VerifyCheck(NamedTuple):
 
 
 def verify_family(spec: FamilySpec, p_max: int = 23) -> list[VerifyCheck]:
-    """Cross-check the grid against enumeration, and trace_sum against the
-    grid, for every good p <= p_max.  Each check reports its first mismatch,
-    in ascending p and then c."""
+    """Cross-check the grid against enumeration and trace_sum against the
+    grid, for every good p <= p_max; the grid's sum over P^1(F_p) is checked
+    against the scalar traces, the fiber over t = infinity included.  Each
+    check reports its first mismatch, in ascending p and then c."""
     from .fiber_sum import UnsupportedFiber, trace_sum
     from .fiber_trace import brute_force_affine, discriminant_locus, fiber_trace, weil_bound
     from .kernels import affine_counts, fiber_arrays, grid_trace_sum, singular_c_values
 
     name = kernel_name(spec.polys)
+    genus = fiber_genus(spec.polys)
 
     def counts(p, ctx):
         got = affine_counts(spec, ctx)
@@ -321,16 +323,23 @@ def verify_family(spec: FamilySpec, p_max: int = 23) -> list[VerifyCheck]:
     def traces(p, ctx):
         arrays = fiber_arrays(spec, ctx)
         refused = {u.c for u in arrays.unsupported}
-        for c in range(p):
+        scalar = {}  # the trace of every fiber over P^1(F_p), or "unsupported"
+        for c in [*range(p), None]:
             try:
-                want = fiber_trace(ctx, spec, c).a
+                scalar[c] = fiber_trace(ctx, spec, c).a
             except UnsupportedFiber:
-                want = "unsupported"
+                scalar[c] = "unsupported"
+        for c in range(p):
             got = "unsupported" if c in refused else int(arrays.a[c])
-            if got != want:
-                return f"p={p}, c={c}: fiber_arrays {got} != fiber_trace {want}"
-            if not arrays.singular[c] and abs(got) > weil_bound(spec.genus, p):
+            if got != scalar[c]:
+                return f"p={p}, c={c}: fiber_arrays {got} != fiber_trace {scalar[c]}"
+            if not arrays.singular[c] and abs(got) > weil_bound(genus, p):
                 return f"p={p}, c={c}: |a| = {abs(got)} exceeds 2g sqrt(p)"
+        total, refused = grid_trace_sum(spec, ctx)  # which sums equates with trace_sum
+        got = [u.c for u in refused] or total  # the refused c, or the sum when none is
+        want = [c for c, a in scalar.items() if a == "unsupported"] or sum(scalar.values())
+        if got != want:
+            return f"p={p}: grid sum over P^1 {got} != fiber_trace sum {want}"
 
     def locus(p, ctx):
         via_resultant = set(int(c) for c in singular_c_values(spec, ctx))
@@ -351,7 +360,7 @@ def verify_family(spec: FamilySpec, p_max: int = 23) -> list[VerifyCheck]:
     checks: list[VerifyCheck] = []
     for title, check in (
         ("affine_counts: exhaustive match", counts),
-        ("fiber_arrays: match fiber_trace, Weil bound", traces),
+        ("fiber_arrays: match fiber_trace over P^1, Weil bound", traces),
         ("discriminant locus: resultant vs gcd", locus),
         (f"trace_sum: {name} equals grid", sums),
     ):

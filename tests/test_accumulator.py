@@ -38,6 +38,16 @@ from nagao.runner import LEDGER_FIELDS, entry_row, load_ledger, row_entry
 from nagao.shioda_tate import form5_diagnostic, trace_on_S
 
 
+@pytest.mark.parametrize("name", ["constant_E", "shioda_g1", "shioda_g2", "multicover_ex2"])
+def test_shipped_family_hash_matches_the_benchmark_reference(name):
+    """Every row of the benchmark's reference ledger carries the hash of the
+    shipped file, so a change of rendering would move its bytes."""
+    ref = Path(__file__).parents[1] / "perfbench" / "refs" / "full" / name / "ledger.csv"
+    with ref.open() as fh:
+        hashes = {row["family_hash"] for row in csv.DictReader(fh)}
+    assert hashes == {family_hash(load_shipped_family(name))}
+
+
 def test_family_hash_distinguishes_families():
     hashes = {family_hash(load_shipped_family(n))
               for n in ("constant_E", "shioda_g1", "shioda_g2", "multicover_ex2")}

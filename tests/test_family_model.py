@@ -384,7 +384,7 @@ def test_shipped_family_shapes():
     assert const.trace.curves == ((0, -1, 0, 1),)
     mc = load_shipped_family("multicover_ex2")
     assert mc.kind == "multicover" and len(mc.polys) == 2
-    assert mc.infinity_rule == InfinityRule("affine_plus", nu=2, m=1)
+    assert mc.infinity_rule == InfinityRule("affine_plus", nu=2)
     assert mc.trace.curves == ((-30, 31, -10, 1),)
 
 
@@ -500,11 +500,11 @@ family "mc"
 kind multicover
 poly x^3 - x + 1
 poly x^3 + x + t
-genus 2
+genus 4
 trace none
 infinity trace_zero
 """
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="'infinity trace_zero', but F gives 'infinity affine_plus 2 1'"):
         parse_family(text)
     ok = parse_family(text.replace("infinity trace_zero", "infinity affine_plus 2 1"))
     assert ok.infinity_rule.nu == 2
@@ -512,10 +512,10 @@ infinity trace_zero
 
 @pytest.mark.parametrize("name", ["shioda_g1", "constant_E"])
 def test_validation_single_cover_needs_trace_zero(name):
-    # affine_plus declares nu and m for a multicover; a single cover's points
-    # at infinity follow from its x-degree
+    # affine_plus declares nu for a multicover; a single cover's points at
+    # infinity follow from its x-degree and leading coefficient
     text = render_family(load_shipped_family(name))
-    with pytest.raises(ValidationError, match="must declare 'infinity trace_zero'"):
+    with pytest.raises(ValidationError, match="'infinity affine_plus 2 1', but F gives 'infinity trace_zero'"):
         parse_family(text.replace("infinity trace_zero", "infinity affine_plus 2 1"))
 
 
@@ -527,14 +527,20 @@ def test_validation_constant_must_not_involve_t():
 
 @pytest.mark.parametrize("nu_m", ["-3 0", "5 1", "2 0", "2 2"])
 def test_validation_bounds_the_affine_plus_rule(nu_m):
-    """Every finite fiber follows the rule, so m = 1 (a smooth fiber is one
-    geometrically irreducible curve) and 0 <= nu <= 4 (points over x = infinity
-    of a degree-4 cover of the x-line)."""
+    """Every finite fiber that is not refused is one geometrically irreducible
+    curve, so m = 1.  multicover_ex2 has nu = 2, the number of its subcovers
+    of even degree: the empty product and G_1 G_2, of degree 6.  Any other nu
+    is refused, and both values are named."""
     text = render_family(load_shipped_family("multicover_ex2"))
-    with pytest.raises(ValidationError, match="0 <= nu <= 4 and m = 1"):
+    nu, m = nu_m.split()
+    why = "every fiber has m = 1" if m != "1" else (
+        f"'infinity affine_plus {nu} 1', but F gives 'infinity affine_plus 2 1'")
+    with pytest.raises(ValidationError, match=why):
         parse_family(text.replace("affine_plus 2 1", f"affine_plus {nu_m}"))
-    for nu in (0, 4):
-        assert parse_family(text.replace("affine_plus 2", f"affine_plus {nu}")).infinity_rule.nu == nu
+    for nu in (0, 1, 3, 4):
+        with pytest.raises(ValidationError, match=f"'infinity affine_plus {nu} 1', but F gives "
+                                                  "'infinity affine_plus 2 1'"):
+            parse_family(text.replace("affine_plus 2 1", f"affine_plus {nu} 1"))
 
 
 @pytest.mark.parametrize(

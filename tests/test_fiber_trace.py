@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nagao
-from nagao import load_shipped_family
+from nagao import fp_poly, load_shipped_family, parse_family
 from nagao.family_model import BadPrime, FiberModel, bad_primes, fiber_at
 from nagao.fiber_trace import (
     FiberTraceRecord,
@@ -18,11 +18,12 @@ from nagao.fiber_trace import (
     brute_force_affine,
     component_count,
     count_affine,
+    discriminant_locus,
     fiber_trace,
     points_at_infinity,
     weil_bound,
 )
-from nagao.prime_field import make_field
+from nagao.prime_field import legendre, make_field, primes_in_range
 
 
 def single_fiber(p, coeffs, generic_deg=None):
@@ -31,7 +32,7 @@ def single_fiber(p, coeffs, generic_deg=None):
         coeffs = coeffs[:-1]
     if generic_deg is None:
         generic_deg = len(coeffs) - 1
-    return FiberModel(c=0, polys=(coeffs,), generic_deg=(generic_deg,), kind="hyperelliptic")
+    return FiberModel(c=0, polys=(coeffs,), generic_deg=(generic_deg,))
 
 
 def test_count_affine_frozen_values():
@@ -48,9 +49,6 @@ def test_count_affine_multicover_frozen_value():
         c=3,
         polys=((-30 % 7, 31 % 7, -10 % 7, 1), (0, 3, 3, 1)),
         generic_deg=(3, 3),
-        kind="multicover",
-        nu=2,
-        m_declared=1,
     )
     # frozen from independent (y, z) pair enumeration
     assert count_affine(ctx, fiber) == 1
@@ -75,11 +73,15 @@ def test_points_at_infinity_cases():
     assert points_at_infinity(ctx, single_fiber(5, (1, 0, 0, 0, 2))) == 0
     with pytest.raises(UnsupportedFiber):
         points_at_infinity(ctx, single_fiber(5, (1, 1), generic_deg=3))
-    mc = FiberModel(
-        c=0, polys=((1,), (1,)), generic_deg=(3, 3), kind="multicover",
-        nu=2, m_declared=1,
-    )
-    assert points_at_infinity(ctx, mc) == 2
+    # two cubics: 1 + chi(lc_1 lc_2) points, from the empty product and G_1 G_2
+    for lc2, want in ((1, 2), (4, 2), (2, 0), (3, 0)):
+        mc = FiberModel(c=0, polys=((1, 0, 0, 1), (0, 1, 0, lc2)), generic_deg=(3, 3))
+        assert points_at_infinity(ctx, mc) == want
+    # a cubic and a quartic: 1 + chi(lc_2)
+    mc = FiberModel(c=0, polys=((1, 0, 0, 1), (1, 0, 0, 0, 2)), generic_deg=(3, 4))
+    assert points_at_infinity(ctx, mc) == 0
+    with pytest.raises(UnsupportedFiber):
+        points_at_infinity(ctx, mc._replace(generic_deg=(3, 5)))
 
 
 def test_component_count_cases():
@@ -202,3 +204,56 @@ def test_fiber_trace_loads_no_numpy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# two-cover families (G_1, G_2, genus, nu) of every parity, with constant and
+# varying leading coefficients.  The genus is the sum over G_1, G_2 and G_1 G_2
+# of (deg - 1) // 2; nu counts those of even degree, plus 1 for the empty product
+TWO_COVER_FAMILIES = [
+    ("2*x^3 + x + 1", "3*x^3 + t*x + 1", 4, 2),  # lc_1 lc_2 = 6 need not be a square
+    ("x^3 - x", "(t^2 + 1)*x^2 + x + t", 3, 2),  # G_2 of even degree, varying lc
+    ("(x-2)*(x-3)*(x-5)", "x*(x-1)*(x-t)", 4, 2),  # multicover_ex2
+    ("x^4 + x + 1", "(t + 2)*x^2 + t*x + 3", 3, 4),  # both degrees even
+    ("3*x^4 + x + t", "x^3 + 2", 5, 2),  # even and odd, lc_1 = 3
+]
+
+
+def _hyperelliptic_trace(p, g, roots):
+    """a of the smooth projective y^2 = g(x), g squarefree mod p of its generic
+    degree: p + 1 less the points, the affine ones counted over every x with
+    roots[v] = #{y : y^2 = v}."""
+    n = sum(roots[fp_poly.eval_at(g, x, p)] for x in range(p))
+    n += 1 if len(g) % 2 == 0 else 1 + legendre(g[-1], p)  # over x = infinity
+    return p + 1 - n
+
+
+@pytest.mark.parametrize("g1, g2, genus, nu", TWO_COVER_FAMILIES)
+def test_two_cover_traces_split_by_kani_rosen(g1, g2, genus, nu):
+    """Jac(C) ~ Jac(y^2 = G_1) x Jac(z^2 = G_2) x Jac(w^2 = G_1 G_2) (Kani and
+    Rosen, Math. Ann. 284, 1989), so a(C) = a(G_1) + a(G_2) + a(G_1 G_2) at
+    every smooth finite fiber; its points over x = infinity are
+    sum_I chi(lc_I), not a constant."""
+    spec = parse_family(
+        f'family "kr"\nkind multicover\npoly {g1}\npoly {g2}\ngenus {genus}\n'
+        f"trace none\ninfinity affine_plus {nu} 1\n"
+    )
+    bad = bad_primes(spec)
+    smooth = 0
+    for p in primes_in_range(3, 60):
+        if p in bad:
+            continue
+        ctx = make_field(p)
+        roots = [0] * p
+        for y in range(p):
+            roots[y * y % p] += 1
+        singular = discriminant_locus(spec, ctx)
+        for c in range(p):
+            if c in singular:
+                continue
+            f1, f2 = fiber_at(spec, ctx, c).polys
+            want = sum(_hyperelliptic_trace(p, g, roots) for g in (f1, f2, fp_poly.mul(f1, f2, p)))
+            a = fiber_trace(ctx, spec, c).a
+            assert a == want, (p, c)
+            assert abs(a) <= weil_bound(spec.genus, p)
+            smooth += 1
+    assert smooth > 200

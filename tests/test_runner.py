@@ -264,6 +264,23 @@ def test_verify_family_checks_trace_sum_refusals(monkeypatch):
     assert "[0]" in checks[3].detail
 
 
+def test_verify_checks_the_fiber_over_t_infinity(monkeypatch):
+    """A t-free multicover whose run path forgets that its fiber over
+    t = infinity is the curve of every finite fiber: trace_sum and the grid
+    share the mistake, so only the scalar sum over P^1 sees it."""
+    spec = parse_family(
+        'family "t_free"\nkind multicover\npoly (x-2)*(x-3)*(x-5)\npoly x*(x-1)*(x-7)\n'
+        "genus 4\ntrace curve (x-2)*(x-3)*(x-5)\ninfinity affine_plus 2 1\n"
+    )
+    assert verify_family(spec, p_max=13)[1].passed
+    for module in (fiber_sum, kernels):
+        monkeypatch.setattr(module, "involves_t", lambda spec: True)
+    checks = verify_family(spec, p_max=13)
+    assert checks[3].passed  # trace_sum equals the grid
+    assert not checks[1].passed
+    assert "grid sum over P^1" in checks[1].detail
+
+
 @pytest.mark.parametrize("name", ["shioda_g1", "shioda_g2"])
 def test_verify_names_the_root_count_kernel(name):
     """The root-count families e(x) + b(x) t + t^2 take chi_sum."""
