@@ -19,7 +19,6 @@ from .runner import (
     run_pipeline,
     series_csv_text,
     summary_dict,
-    verify_family,
 )
 
 
@@ -104,6 +103,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     if args.command == "verify":
+        from .fiber_trace import verify_family
+
         checks = verify_family(spec)
         all_ok = True
         for check in checks:

@@ -39,9 +39,6 @@ class BadPrime(ValueError):
     """Operation requested at a prime in the family's bad set."""
 
 
-INFINITY = "inf"  # marker for the point at infinity of P^1
-
-
 # ---------------------------------------------------------------------------
 # Bivariate integer polynomials
 # ---------------------------------------------------------------------------
@@ -842,14 +839,14 @@ def check_bad_primes_known(spec: FamilySpec, t_max: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def fiber_at(spec: FamilySpec, ctx: FieldCtx, c: int | str) -> FiberModel:
-    """The fiber over c in P^1(F_p); pass INFINITY (or None) for c = infinity.
+def fiber_at(spec: FamilySpec, ctx: FieldCtx, c: int | None) -> FiberModel:
+    """The fiber over c in P^1(F_p), where c = None is t = infinity.
 
     Over infinity, a family that involves t gets no polys, and trace 0."""
     if ctx.p in bad_primes(spec):
         raise BadPrime(f"p = {ctx.p} lies in the bad set of {spec.name}")
     degs = tuple(poly.deg_x for poly in spec.polys)
-    if c in (INFINITY, None):
+    if c is None:
         polys = () if involves_t(spec) else tuple(
             poly.specialize_t(0, ctx.p) for poly in spec.polys)
         return FiberModel(None, polys, degs)

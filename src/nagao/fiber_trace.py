@@ -6,10 +6,9 @@ fiber.  Fibers whose plane model provably cannot certify m are refused: they
 surface as UnsupportedFiber, never guessed.
 
 Everything here enumerates F_p, fiber by fiber, and serves only the tests
-and `nagao verify`, which check the kernels against it; no command but
-verify imports this module.  The fiber classifier component_count and
-UnsupportedFiber belong to the run path and live in fiber_sum; they are
-imported here so that the references read them under their old names.
+and `nagao verify`, whose checks (verify_family) live here and compare the
+run path, trace_sum and trace_correction, with these references directly;
+no command but verify imports this module.
 """
 
 from __future__ import annotations
@@ -17,9 +16,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import fp_poly
-from .family_model import FamilySpec, FiberModel, fiber_at
+from .family_model import FamilySpec, FiberModel, bad_primes, fiber_at, fiber_genus
 from .fiber_sum import UnsupportedFiber, component_count
-from .prime_field import FieldCtx
+from .prime_field import FieldCtx, make_field, primes_in_range
 
 
 class FiberTraceRecord(NamedTuple):
@@ -35,24 +34,17 @@ class FiberTraceRecord(NamedTuple):
 
 
 def count_affine(ctx: FieldCtx, fiber: FiberModel) -> int:
-    """Exact number of affine points of the fiber.
-
-    Single cover: sum over x of 1 + chi(f(x)); two covers: the product
-    (1 + chi(f1(x))) * (1 + chi(f2(x))) counts pairs (y, z)."""
+    """Exact number of affine points of the fiber: the sum over x of the
+    product over the covers of 1 + chi(f_i(x)), which counts y (and z)."""
     if fiber.at_infinity and not fiber.polys:
         raise ValueError("no affine model for the fiber over infinity")
     p = ctx.p
     total = 0
-    if len(fiber.polys) == 1:
-        f = fiber.polys[0]
-        for x in range(p):
-            total += 1 + ctx.chi(fp_poly.eval_at(f, x, p))
-    else:
-        f1, f2 = fiber.polys
-        for x in range(p):
-            total += (1 + ctx.chi(fp_poly.eval_at(f1, x, p))) * (
-                1 + ctx.chi(fp_poly.eval_at(f2, x, p))
-            )
+    for x in range(p):
+        n = 1
+        for f in fiber.polys:
+            n *= 1 + ctx.chi(fp_poly.eval_at(f, x, p))
+        total += n
     return total
 
 
@@ -108,21 +100,12 @@ def _is_singular(ctx: FieldCtx, fiber: FiberModel) -> bool:
 def brute_force_affine(p: int, polys: tuple[tuple[int, ...], ...]) -> int:
     """Count solutions by direct enumeration of (x, y) or (x, y, z) in F_p."""
     count = 0
-    if len(polys) == 1:
-        f = polys[0]
-        for x in range(p):
-            fx = fp_poly.eval_at(f, x, p)
-            for y in range(p):
-                if (y * y - fx) % p == 0:
-                    count += 1
-    else:
-        f1, f2 = polys
-        for x in range(p):
-            v1 = fp_poly.eval_at(f1, x, p)
-            v2 = fp_poly.eval_at(f2, x, p)
-            n1 = sum(1 for y in range(p) if (y * y - v1) % p == 0)
-            n2 = sum(1 for z in range(p) if (z * z - v2) % p == 0)
-            count += n1 * n2
+    for x in range(p):
+        n = 1
+        for f in polys:
+            v = fp_poly.eval_at(f, x, p)
+            n *= sum(1 for y in range(p) if (y * y - v) % p == 0)
+        count += n
     return count
 
 
@@ -135,3 +118,93 @@ def discriminant_locus(spec: FamilySpec, ctx: FieldCtx) -> set[int]:
 def weil_bound(genus: int, p: int) -> float:
     """|a| <= 2g sqrt(p) for a smooth projective curve of genus g over F_p."""
     return 2 * genus * p ** 0.5
+
+
+def curve_trace_by_count(curve: tuple[int, ...], ctx: FieldCtx) -> int | None:
+    """a = p + 1 - N of y^2 = G(x) by enumeration, with 1 point over x =
+    infinity at odd degree and 1 + chi(lc) at even; None when G mod p is not
+    squarefree of full degree (a bad trace prime)."""
+    p = ctx.p
+    g = fp_poly.trim(c % p for c in curve)
+    if len(g) < len(curve) or len(fp_poly.gcd(g, fp_poly.deriv(g, p), p)) > 1:
+        return None
+    n_inf = 1 if len(g) % 2 == 0 else 1 + ctx.chi(g[-1])
+    return p + 1 - brute_force_affine(p, (g,)) - n_inf
+
+
+class VerifyCheck(NamedTuple):
+    name: str
+    passed: bool
+    detail: str = ""
+
+
+def verify_family(spec: FamilySpec, p_max: int = 23) -> list[VerifyCheck]:
+    """Check the run path against enumeration at every good p <= p_max.
+
+    count_affine against brute_force_affine on every finite fiber; the Weil
+    bound on every fiber that fiber_trace calls smooth; the resultant locus
+    against the gcd locus; and trace_sum against the fiber_trace records over
+    P^1(F_p), t = infinity included (the sum, or the refused c when some are),
+    with trace_correction against the enumerated traces of the trace curves.
+    Each check reports its first mismatch, in ascending p and then c."""
+    from .accumulator import BadTracePrime, trace_correction
+    from .fiber_sum import kernel_name, singular_c_values, trace_sum
+
+    name = kernel_name(spec.polys)
+    genus = fiber_genus(spec.polys)
+
+    def records(ctx):  # the fiber_trace record over each c in P^1(F_p), or None if refused
+        out = {}
+        for c in [*range(ctx.p), None]:
+            try:
+                out[c] = fiber_trace(ctx, spec, c)
+            except UnsupportedFiber:
+                out[c] = None
+        return out
+
+    def counts(p, ctx):
+        for c in range(p):
+            fiber = fiber_at(spec, ctx, c)
+            got, want = count_affine(ctx, fiber), brute_force_affine(p, fiber.polys)
+            if got != want:
+                return f"p={p}, c={c}: count_affine {got} != enumeration {want}"
+
+    def weil(p, ctx):
+        for c, rec in records(ctx).items():
+            if rec is not None and not rec.singular and abs(rec.a) > weil_bound(genus, p):
+                return f"p={p}, c={c}: |a| = {abs(rec.a)} exceeds 2g sqrt(p)"
+
+    def locus(p, ctx):
+        via_resultant = set(singular_c_values(spec, ctx))
+        via_gcd = discriminant_locus(spec, ctx)
+        if via_resultant != via_gcd:
+            return f"p={p}: resultant locus {sorted(via_resultant)} != gcd locus {sorted(via_gcd)}"
+
+    def sums(p, ctx):
+        total, refused = trace_sum(spec, ctx)
+        got = [u.c for u in refused] or total  # the refused c, or the sum when none is
+        recs = records(ctx)
+        want = [c for c, rec in recs.items() if rec is None] or sum(rec.a for rec in recs.values())
+        if got != want:
+            return f"p={p}: {name} (sum, or refused c) {got} != fiber_trace over P^1 {want}"
+        traces = [curve_trace_by_count(curve, ctx) for curve in spec.trace.curves]
+        want = "bad" if None in traces else sum(traces)
+        try:
+            got = trace_correction(spec, ctx)
+        except BadTracePrime:
+            got = "bad"
+        if got != want:
+            return f"p={p}: trace_correction {got} != enumerated trace curves {want}"
+
+    bad = bad_primes(spec)
+    primes = [p for p in primes_in_range(3, p_max) if p not in bad]
+    checks: list[VerifyCheck] = []
+    for title, check in (
+        ("count_affine: exhaustive match", counts),
+        ("fiber_trace: Weil bound on smooth fibers", weil),
+        ("discriminant locus: resultant vs gcd", locus),
+        (f"trace_sum: {name} equals fiber_trace over P^1, a_p(B) enumeration", sums),
+    ):
+        detail = next(filter(None, (check(p, make_field(p)) for p in primes)), "")
+        checks.append(VerifyCheck(f"{title} (p <= {p_max})", not detail, detail))
+    return checks

@@ -3,7 +3,8 @@
 Polynomials are tuples of residues in ascending degree with no trailing
 zeros; () is the zero polynomial.  The run path uses it for root counts and
 roots mod p (powmod, linear_part, roots) and for the singular fibers; bulk
-evaluation over all of F_p is done in kernels.
+evaluation over all of F_p is done by charsum._values for the coset kernel,
+and with numpy in kernels.
 """
 
 from __future__ import annotations

@@ -26,8 +26,9 @@ numpy with it, the first time a prime needs a kernel or a sum from here:
   has the same values in every column, so numpy broadcasts one column.
 
 The grid also gives every finite fiber's trace (fiber_arrays, with the
-points over x = infinity of family_model.infinity_leads); `nagao verify` and
-the tests use it as the oracle for trace_sum.
+points over x = infinity of family_model.infinity_leads); the tests use it,
+and grid_trace_sum, as an O(p^2) oracle for trace_sum.  `nagao verify` does
+not read the grid: it checks trace_sum against fiber_trace's enumeration.
 """
 
 from __future__ import annotations

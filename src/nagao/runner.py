@@ -1,19 +1,19 @@
-"""Run orchestration: ledger persistence, checkpointed resume, verification.
+"""Run orchestration: ledger persistence, checkpointed resume.
 
 Outputs are plain CSV plus a JSON summary.  The per-prime ledger is the unit
 of persistence: series and residue files are pure functions of it, so a
 resumed run reproduces a fresh run bit for bit.  Partial outputs are written
 atomically (write-then-rename); only the append-only ledger is streamed.
 Reading a complete ledger and the estimators load no numpy; the kernels come
-in with verify, or with the first prime whose trace needs them, which no
-shipped family's does.  A ledger row becomes an integer SeriesEntry and
+in with the first prime whose trace needs them, which no shipped family's
+does.  A ledger row becomes an integer SeriesEntry and
 builds no Fraction; with --jobs N the parent computes the first prime to
 compute and forks up to N workers, worker k taking every N-th of the rest
 from the k-th on.
 
-run, series and residue import only code that they execute: verify_family
-imports its references, fiber_trace and the grid kernels, when it is called,
-and summary_dict imports shioda_tate only for a family with fiber lines.
+run, series and residue import only code that they execute: summary_dict
+imports shioda_tate only for a family with fiber lines.  Verification is not
+here: `nagao verify` runs fiber_trace.verify_family.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from .accumulator import (
     good_primes,
     iter_entries,
 )
-from .family_model import FamilySpec, bad_primes, fiber_at, fiber_genus
+from .family_model import FamilySpec, bad_primes
 from .fiber_sum import kernel_name
-from .prime_field import make_field, primes_in_range
 
 LEDGER_FIELDS = ["family_hash", "p", "A_p_num", "A_p_den", "a_p_B", "skipped", "reason"]
 SERIES_FIELDS = ["T", "S_T", "n_primes", "n_skipped"]
@@ -278,92 +277,3 @@ def summary_dict(result: RunResult, checkpoints: list[int]) -> dict:
             "max_abs_residual": report.max_abs,
         }
     return out
-
-
-# ---------------------------------------------------------------------------
-# Verification against the scalar references in fiber_trace
-# ---------------------------------------------------------------------------
-
-
-def __getattr__(name: str):
-    """runner.brute_force_affine, which older callers import from here, is
-    fiber_trace's, loaded when it is first read."""
-    if name == "brute_force_affine":
-        from .fiber_trace import brute_force_affine
-
-        return brute_force_affine
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-class VerifyCheck(NamedTuple):
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-def verify_family(spec: FamilySpec, p_max: int = 23) -> list[VerifyCheck]:
-    """Cross-check the grid against enumeration and trace_sum against the
-    grid, for every good p <= p_max; the grid's sum over P^1(F_p) is checked
-    against the scalar traces, the fiber over t = infinity included.  Each
-    check reports its first mismatch, in ascending p and then c."""
-    from .fiber_sum import UnsupportedFiber, trace_sum
-    from .fiber_trace import brute_force_affine, discriminant_locus, fiber_trace, weil_bound
-    from .kernels import affine_counts, fiber_arrays, grid_trace_sum, singular_c_values
-
-    name = kernel_name(spec.polys)
-    genus = fiber_genus(spec.polys)
-
-    def counts(p, ctx):
-        got = affine_counts(spec, ctx)
-        for c in range(p):
-            want = brute_force_affine(p, fiber_at(spec, ctx, c).polys)
-            if got[c] != want:
-                return f"p={p}, c={c}: kernel {got[c]} != enumeration {want}"
-
-    def traces(p, ctx):
-        arrays = fiber_arrays(spec, ctx)
-        refused = {u.c for u in arrays.unsupported}
-        scalar = {}  # the trace of every fiber over P^1(F_p), or "unsupported"
-        for c in [*range(p), None]:
-            try:
-                scalar[c] = fiber_trace(ctx, spec, c).a
-            except UnsupportedFiber:
-                scalar[c] = "unsupported"
-        for c in range(p):
-            got = "unsupported" if c in refused else int(arrays.a[c])
-            if got != scalar[c]:
-                return f"p={p}, c={c}: fiber_arrays {got} != fiber_trace {scalar[c]}"
-            if not arrays.singular[c] and abs(got) > weil_bound(genus, p):
-                return f"p={p}, c={c}: |a| = {abs(got)} exceeds 2g sqrt(p)"
-        total, refused = grid_trace_sum(spec, ctx)  # which sums equates with trace_sum
-        got = [u.c for u in refused] or total  # the refused c, or the sum when none is
-        want = [c for c, a in scalar.items() if a == "unsupported"] or sum(scalar.values())
-        if got != want:
-            return f"p={p}: grid sum over P^1 {got} != fiber_trace sum {want}"
-
-    def locus(p, ctx):
-        via_resultant = set(int(c) for c in singular_c_values(spec, ctx))
-        via_gcd = discriminant_locus(spec, ctx)
-        if via_resultant != via_gcd:
-            return f"p={p}: resultant locus {sorted(via_resultant)} != gcd locus {sorted(via_gcd)}"
-
-    def sums(p, ctx):
-        got, refused = trace_sum(spec, ctx)
-        got = (got, [u.c for u in refused])
-        want, refused = grid_trace_sum(spec, ctx)
-        want = (want, [u.c for u in refused])
-        if got != want:
-            return f"p={p}: {name} (sum, refused c) {got} != grid {want}"
-
-    bad = bad_primes(spec)
-    primes = [p for p in primes_in_range(3, p_max) if p not in bad]
-    checks: list[VerifyCheck] = []
-    for title, check in (
-        ("affine_counts: exhaustive match", counts),
-        ("fiber_arrays: match fiber_trace over P^1, Weil bound", traces),
-        ("discriminant locus: resultant vs gcd", locus),
-        (f"trace_sum: {name} equals grid", sums),
-    ):
-        detail = next(filter(None, (check(p, make_field(p)) for p in primes)), "")
-        checks.append(VerifyCheck(f"{title} (p <= {p_max})", not detail, detail))
-    return checks

@@ -27,10 +27,16 @@ from nagao.accumulator import (
     variant_average,
 )
 from nagao.family_model import FiberConfiguration, FiberDescriptor, MRule, bad_primes, fiber_at
-from nagao.fiber_trace import UnsupportedFiber, count_affine, fiber_trace, weil_bound
+from nagao.fiber_trace import (
+    UnsupportedFiber,
+    brute_force_affine,
+    count_affine,
+    fiber_trace,
+    weil_bound,
+)
 from nagao.kernels import fiber_arrays
 from nagao.prime_field import make_field, primes_in_range
-from nagao.runner import RunConfig, brute_force_affine, run_pipeline, series_csv_text
+from nagao.runner import RunConfig, run_pipeline, series_csv_text
 from nagao.shioda_tate import rank_S, rank_S_Gk, trace_on_S
 
 FAMILIES = ["constant_E", "shioda_g1", "shioda_g2", "multicover_ex2"]

@@ -99,13 +99,26 @@ def test_verify_prints_one_line_per_check(family_file, capsys):
     assert rc == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
     assert len(lines) == 4
-    assert lines[-1] == "trace_sum: chi_sum equals grid (p <= 23): PASS"
+    assert lines[-1] == (
+        "trace_sum: chi_sum equals fiber_trace over P^1, a_p(B) enumeration (p <= 23): PASS"
+    )
     assert all(line.endswith("PASS") for line in lines)
 
 
+def test_verify_passes_on_the_separable_family(tmp_path, capsys):
+    """x^3 - x + t^3 + t takes the separable kernel, with numpy."""
+    fam = tmp_path / "cubic_t_plus_t.fam"
+    fam.write_text('family "cubic_t_plus_t"\nkind hyperelliptic\npoly x^3 - x + t^3 + t\n'
+                   "genus 1\ntrace none\ninfinity trace_zero\n")
+    assert main(["verify", "--family", str(fam)]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
+    assert len(lines) == 4 and all(line.endswith(": PASS") for line in lines)
+    assert "trace_sum: separable " in lines[3]
+
+
 def test_verify_passes_on_a_t_free_multicover(family_file, capsys):
-    """Neither cover involves t: trace_sum and the grid both count the fiber
-    over t = infinity as the curve of every finite fiber."""
+    """Neither cover involves t: trace_sum and fiber_trace both count the
+    fiber over t = infinity as the curve of every finite fiber."""
     fam = Path(family_file("multicover_ex2"))
     fam.write_text(fam.read_text().replace("x*(x-1)*(x-t)", "x*(x-1)*(x-7)"))
     assert main(["verify", "--family", str(fam)]) == 0
@@ -259,15 +272,16 @@ def test_large_coefficient_runs_to_a_small_tmax(tmp_path, family_file):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_large_coefficient_past_the_factor_bound_exits_1(tmp_path, family_file):
+def test_large_coefficient_past_the_factor_bound_exits_1(tmp_path, family_file, capsys):
     fam = Path(family_file("shioda_g1"))
     fam.write_text(fam.read_text().replace("poly x^3 - x + t^2", BIG_COEFFICIENT_POLY))
-    proc = _python(["-m", "nagao.cli", "run", "--family", str(fam),
-                    "--tmax", str(FACTOR_BOUND + 1), "--out", str(tmp_path / "o")],
-                   tmp_path, timeout=60)
+    args = ["run", "--family", str(fam), "--tmax", str(FACTOR_BOUND + 1), "--out", str(tmp_path / "o")]
+    proc = _python(["-m", "nagao.cli", *args], tmp_path, timeout=60)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: shioda_g1: ") and "Traceback" not in proc.stderr
     assert f"above {FACTOR_BOUND}" in proc.stderr
+    assert main(args) == 1  # in process too, so that cli.main's handler runs under coverage
+    assert capsys.readouterr().err == proc.stderr
 
 
 def test_power_of_a_sum_above_the_bound_exits_1(tmp_path, family_file):
@@ -569,8 +583,9 @@ def test_root_count_runs_do_not_import_numpy(tmp_path, jobs):
     computes primes loads neither numpy nor the kernels.  A run loads only
     run-path code: no dataclasses (nor the inspect module that they import),
     not the scalar references of fiber_trace, which verify loads and checks
-    the kernels against, and, at either --jobs, neither multiprocessing nor
-    pickle: the workers are forked and send marshal."""
+    the run path against, and, at either --jobs, neither multiprocessing nor
+    pickle: the workers are forked and send marshal.  verify of these
+    families loads neither numpy nor the kernels either."""
     (tmp_path / "cubic_t.fam").write_text(
         'family "cubic_t"\nkind hyperelliptic\npoly x^3 - x + t^3\n'
         "genus 1\ntrace none\ninfinity trace_zero\n"
@@ -590,12 +605,15 @@ def test_root_count_runs_do_not_import_numpy(tmp_path, jobs):
         assert "nagao.kernels" not in sys.modules
         for module in ("dataclasses", "inspect", "nagao.fiber_trace", "multiprocessing", "pickle"):
             assert module not in sys.modules, module
-        for name in nagao.shipped_family_names():
-            fam = str(resources.files(nagao).joinpath(f"families/{{name}}.fam"))
+        fams = [str(resources.files(nagao).joinpath(f"families/{{name}}.fam"))
+                for name in nagao.shipped_family_names()]
+        for fam in fams + ["cubic_t.fam"]:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
-                assert main(["verify", "--family", fam]) == 0, name
+                assert main(["verify", "--family", fam]) == 0, fam
             assert out.getvalue().count(": PASS\\n") == 4, out.getvalue()
+        assert "numpy" not in sys.modules, "verify imported numpy"
+        assert "nagao.kernels" not in sys.modules, "verify imported the kernels"
     """)
     proc = _python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nagao import load_shipped_family, shipped_family_names
+from nagao.accumulator import family_hash
 from nagao.family_model import (
     BadPrime,
     BivarPoly,
@@ -578,6 +579,40 @@ def test_parse_m_rule_kinds():
         parse_m_rule("maybe 2")
     with pytest.raises(ParseError, match="modulus"):
         parse_m_rule("2 if p % 0 == 1 else 1")
+
+
+@pytest.mark.parametrize(
+    "old, new, error, match",
+    [
+        ("poly x^3 - x + t^2", "poly x^3 - x + t^2\npoly x^3 + t\npoly x^3 + 1",
+         ValidationError, "one or two poly lines, not 3"),
+        ("poly x^3 - x + t^2", "poly t^2 + 1", ValidationError, "positive x-degree"),
+        ("poly x^3 - x + t^2", "poly x^2 + t", ValidationError, "genus 0"),
+        ("trace none", "trace curve x^3 - x + t", ParseError, "polynomial in x only"),
+        ("infinity trace_zero", "infinity affine_plus two 1", ParseError, "two integers"),
+        ("trace none", "trace none\nbadprimes 7 eleven", ParseError, "bad prime 'eleven'"),
+        ("trace none", 'trace none\nfiber c0 n=two orbits=1 m="1"', ParseError,
+         "fiber line must be"),
+    ],
+)
+def test_parse_family_refusals_name_the_fault(old, new, error, match):
+    with pytest.raises(error, match=match):
+        parse_family(MINIMAL.replace(old, new))
+
+
+def test_render_round_trips_badprimes_and_m_rules():
+    spec = parse_family(
+        MINIMAL
+        + "badprimes 11 7\n"
+        + 'fiber c0 n=2 orbits=1 m="2 if chi(-1) == 1 else 1"\n'
+        + 'fiber c1 n=3 orbits=2 m="3 if p % 4 == 1 else 1"\n'
+    )
+    text = render_family(spec)
+    assert "\nbadprimes 7 11\n" in text
+    assert 'm="2 if chi(-1) == 1 else 1"' in text and 'm="3 if p % 4 == 1 else 1"' in text
+    assert parse_family(text) == spec
+    assert render_family(parse_family(text)) == text
+    assert family_hash(parse_family(text)) == family_hash(spec) == "c0e153ef319404b7"
 
 
 # ---------------------------------------------------------------------------

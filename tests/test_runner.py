@@ -10,8 +10,9 @@ import pytest
 
 from nagao import (
     accumulator,
+    charsum,
     fiber_sum,
-    kernels,
+    fiber_trace,
     load_shipped_family,
     parse_family,
     runner,
@@ -26,7 +27,8 @@ from nagao.accumulator import (
     family_hash,
     good_primes,
 )
-from nagao.fiber_trace import brute_force_affine
+from nagao.fiber_trace import brute_force_affine, verify_family
+from nagao.prime_field import make_field
 from nagao.runner import (
     LEDGER_FIELDS,
     LedgerMismatch,
@@ -40,7 +42,6 @@ from nagao.runner import (
     run_pipeline,
     series_csv_text,
     summary_dict,
-    verify_family,
 )
 
 
@@ -215,26 +216,64 @@ def test_verify_family_all_checks_pass(name):
         assert check.passed, f"{name}: {check.name}: {check.detail}"
 
 
-def test_verify_family_checks_the_run_kernel(monkeypatch):
-    kernel = kernels.affine_counts
-    monkeypatch.setattr(kernels, "affine_counts", lambda spec, ctx: kernel(spec, ctx) + 1)
+TRACE_SUM_CHECK = "trace_sum: {} equals fiber_trace over P^1, a_p(B) enumeration (p <= {})"
+
+
+def test_verify_family_checks_count_affine(monkeypatch):
+    count = fiber_trace.count_affine
+    monkeypatch.setattr(fiber_trace, "count_affine", lambda ctx, fiber: count(ctx, fiber) + 1)
     checks = verify_family(load_shipped_family("shioda_g1"), p_max=7)
-    assert checks[0].name.startswith("affine_counts")
+    assert checks[0].name == "count_affine: exhaustive match (p <= 7)"
     assert not checks[0].passed
+    assert "count_affine" in checks[0].detail
+
+
+def test_verify_family_checks_the_weil_bound(monkeypatch):
+    record = fiber_trace.fiber_trace
+
+    def breach(ctx, spec, c):  # |a + 3p| > 2 sqrt(p) for genus 1
+        rec = record(ctx, spec, c)
+        return rec._replace(a=rec.a + 3 * ctx.p)
+
+    monkeypatch.setattr(fiber_trace, "fiber_trace", breach)
+    checks = verify_family(load_shipped_family("shioda_g1"), p_max=7)
+    assert checks[1].name == "fiber_trace: Weil bound on smooth fibers (p <= 7)"
+    assert not checks[1].passed
+    assert "exceeds 2g sqrt(p)" in checks[1].detail
+
+
+def test_verify_family_checks_the_run_kernel(monkeypatch):
+    kernel = fiber_sum.chi_sum
+    monkeypatch.setattr(fiber_sum, "chi_sum", lambda polys, ctx: kernel(polys, ctx) + 1)
+    checks = verify_family(load_shipped_family("shioda_g1"), p_max=7)
+    assert all(check.passed for check in checks[:3])
+    assert not checks[3].passed
+    assert "fiber_trace over P^1" in checks[3].detail
 
 
 def test_verify_family_checks_the_run_trace_path(monkeypatch):
-    kernel = kernels.fiber_arrays
+    """a_p(B) off by one in the curve traces: the fiber traces are right,
+    A*_p is not, and the enumerated trace curve sees it."""
+    trace = charsum.curve_trace
+    monkeypatch.setattr(charsum, "curve_trace", lambda curve, ctx: trace(curve, ctx) + 1)
+    checks = verify_family(load_shipped_family("constant_E"), p_max=7)
+    assert all(check.passed for check in checks[:3])
+    assert not checks[3].passed
+    assert "trace_correction" in checks[3].detail
 
-    def off_by_one(spec, ctx):
-        arrays = kernel(spec, ctx)
-        return arrays._replace(a=arrays.a + 1)
 
-    monkeypatch.setattr(kernels, "fiber_arrays", off_by_one)
-    checks = verify_family(load_shipped_family("shioda_g1"), p_max=7)
-    assert checks[1].name.startswith("fiber_arrays")
-    assert not checks[1].passed
-    assert "fiber_arrays" in checks[1].detail
+def test_verify_family_agrees_on_the_bad_trace_primes():
+    """y^2 = x^4 + 7 is bad at 7, where the family is good: trace_correction
+    refuses p = 7 and the enumeration finds x^4 + 7 not squarefree there."""
+    spec = parse_family(
+        'family "quartic_trace"\nkind hyperelliptic\npoly x^3 - x + t^2\n'
+        "genus 1\ntrace curve x^4 + 7\ninfinity trace_zero\n"
+    )
+    ctx = make_field(7)
+    with pytest.raises(accumulator.BadTracePrime):
+        accumulator.trace_correction(spec, ctx)
+    assert fiber_trace.curve_trace_by_count(spec.trace.curves[0], ctx) is None
+    assert all(check.passed for check in verify_family(spec, p_max=13))
 
 
 def test_verify_family_checks_trace_sum(monkeypatch):
@@ -246,7 +285,7 @@ def test_verify_family_checks_trace_sum(monkeypatch):
 
     monkeypatch.setattr(fiber_sum, "trace_sum", off_by_one)
     checks = verify_family(load_shipped_family("multicover_ex2"), p_max=7)
-    assert checks[3].name == "trace_sum: chi_sum equals grid (p <= 7)"
+    assert checks[3].name == TRACE_SUM_CHECK.format("chi_sum", 7)
     assert not checks[3].passed
     assert "chi_sum" in checks[3].detail
     assert all(check.passed for check in checks[:3])
@@ -266,26 +305,25 @@ def test_verify_family_checks_trace_sum_refusals(monkeypatch):
 
 def test_verify_checks_the_fiber_over_t_infinity(monkeypatch):
     """A t-free multicover whose run path forgets that its fiber over
-    t = infinity is the curve of every finite fiber: trace_sum and the grid
-    share the mistake, so only the scalar sum over P^1 sees it."""
+    t = infinity is the curve of every finite fiber: the scalar sum over P^1
+    sees it."""
     spec = parse_family(
         'family "t_free"\nkind multicover\npoly (x-2)*(x-3)*(x-5)\npoly x*(x-1)*(x-7)\n'
         "genus 4\ntrace curve (x-2)*(x-3)*(x-5)\ninfinity affine_plus 2 1\n"
     )
-    assert verify_family(spec, p_max=13)[1].passed
-    for module in (fiber_sum, kernels):
-        monkeypatch.setattr(module, "involves_t", lambda spec: True)
+    assert all(check.passed for check in verify_family(spec, p_max=13))
+    monkeypatch.setattr(fiber_sum, "involves_t", lambda spec: True)
     checks = verify_family(spec, p_max=13)
-    assert checks[3].passed  # trace_sum equals the grid
-    assert not checks[1].passed
-    assert "grid sum over P^1" in checks[1].detail
+    assert all(check.passed for check in checks[:3])
+    assert not checks[3].passed
+    assert "fiber_trace over P^1" in checks[3].detail
 
 
 @pytest.mark.parametrize("name", ["shioda_g1", "shioda_g2"])
 def test_verify_names_the_root_count_kernel(name):
     """The root-count families e(x) + b(x) t + t^2 take chi_sum."""
     checks = verify_family(load_shipped_family(name), p_max=13)
-    assert checks[3].name == "trace_sum: chi_sum equals grid (p <= 13)"
+    assert checks[3].name == TRACE_SUM_CHECK.format("chi_sum", 13)
     assert checks[3].passed
 
 
@@ -308,5 +346,5 @@ def test_summary_and_verify_name_the_coset_kernel(tmp_path):
     result = run_pipeline(spec, make_config(tmp_path, "cubic_t", t_max=50))
     assert summary_dict(result, [50])["kernel"] == "coset"
     checks = verify_family(spec, p_max=13)
-    assert checks[3].name == "trace_sum: coset equals grid (p <= 13)"
+    assert checks[3].name == TRACE_SUM_CHECK.format("coset", 13)
     assert all(check.passed for check in checks)
